@@ -6,11 +6,12 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <stdexcept>
 #include <vector>
 
 #include "common/expect.h"
+#include "replay/token_cursor.h"
 
 namespace saath::replay {
 
@@ -25,35 +26,40 @@ void append_double(std::string& line, double v) {
   line += buf;
 }
 
-[[nodiscard]] double parse_double(const std::string& tok, std::int64_t line_no) {
+[[noreturn]] void bad_line(std::int64_t line_no, const std::string& what) {
+  throw std::runtime_error("journal line " + std::to_string(line_no) + ": " +
+                           what);
+}
+
+[[nodiscard]] double parse_double(std::string_view tok, std::int64_t line_no) {
+  // strtod needs a terminated string; doubles only appear on D and C lines.
+  const std::string s(tok);
   char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": bad double '" + tok + "'");
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') {
+    bad_line(line_no, "bad double '" + s + "'");
   }
   return v;
 }
 
-[[nodiscard]] std::int64_t parse_int(const std::string& tok,
+[[nodiscard]] std::int64_t parse_int(std::string_view tok,
                                      std::int64_t line_no) {
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": bad integer '" + tok + "'");
+  const auto v = to_int(tok);
+  if (!v.has_value()) {
+    bad_line(line_no, "bad integer '" + std::string(tok) + "'");
   }
-  return static_cast<std::int64_t>(v);
+  return *v;
 }
 
-/// Pulls the next whitespace token; throws naming the line on exhaustion.
-[[nodiscard]] std::string take(std::istringstream& ss, std::int64_t line_no) {
-  std::string tok;
-  if (!(ss >> tok)) {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": truncated record");
-  }
+/// Pulls the next token; throws naming the line on exhaustion.
+[[nodiscard]] std::string_view take(TokenCursor& cur, std::int64_t line_no) {
+  const std::string_view tok = cur.next();
+  if (tok.empty()) bad_line(line_no, "truncated record");
   return tok;
+}
+
+[[nodiscard]] std::int64_t take_int(TokenCursor& cur, std::int64_t line_no) {
+  return parse_int(take(cur, line_no), line_no);
 }
 
 /// Appends " <tok>". Split +='s (char, then token) rather than a
@@ -80,22 +86,20 @@ void write_config(std::string& line, const SimConfig& c) {
   append_token(line, std::to_string(static_cast<int>(c.strict_input)));
 }
 
-[[nodiscard]] SimConfig read_config(std::istringstream& ss,
-                                    std::int64_t line_no) {
+[[nodiscard]] SimConfig read_config(TokenCursor& cur, std::int64_t line_no) {
   SimConfig c;
-  c.port_bandwidth = parse_double(take(ss, line_no), line_no);
-  c.delta = parse_int(take(ss, line_no), line_no);
-  c.reallocate_on_completion = parse_int(take(ss, line_no), line_no) != 0;
-  c.check_capacity = parse_int(take(ss, line_no), line_no) != 0;
-  c.skip_quiescent_epochs = parse_int(take(ss, line_no), line_no) != 0;
-  c.event_driven = parse_int(take(ss, line_no), line_no) != 0;
-  c.record_results = parse_int(take(ss, line_no), line_no) != 0;
-  c.max_sim_time = parse_int(take(ss, line_no), line_no);
-  c.parallel_shards = static_cast<int>(parse_int(take(ss, line_no), line_no));
-  c.max_stall_epochs = static_cast<int>(parse_int(take(ss, line_no), line_no));
-  c.max_requeue_attempts =
-      static_cast<int>(parse_int(take(ss, line_no), line_no));
-  c.strict_input = parse_int(take(ss, line_no), line_no) != 0;
+  c.port_bandwidth = parse_double(take(cur, line_no), line_no);
+  c.delta = take_int(cur, line_no);
+  c.reallocate_on_completion = take_int(cur, line_no) != 0;
+  c.check_capacity = take_int(cur, line_no) != 0;
+  c.skip_quiescent_epochs = take_int(cur, line_no) != 0;
+  c.event_driven = take_int(cur, line_no) != 0;
+  c.record_results = take_int(cur, line_no) != 0;
+  c.max_sim_time = take_int(cur, line_no);
+  c.parallel_shards = static_cast<int>(take_int(cur, line_no));
+  c.max_stall_epochs = static_cast<int>(take_int(cur, line_no));
+  c.max_requeue_attempts = static_cast<int>(take_int(cur, line_no));
+  c.strict_input = take_int(cur, line_no) != 0;
   return c;
 }
 
@@ -139,49 +143,42 @@ std::string format_event_line(const workload::WorkloadEvent& ev) {
 
 std::optional<workload::WorkloadEvent> parse_event_line(
     const std::string& line, std::int64_t line_no) {
-  if (line.empty()) return std::nullopt;
-  std::istringstream ss(line);
-  std::string tag;
-  ss >> tag;
+  TokenCursor cur(line);
+  const std::string_view tag = cur.next();
   if (tag.empty()) return std::nullopt;
   workload::WorkloadEvent ev;
   if (tag == "A") {
     ev.kind = workload::WorkloadEvent::Kind::kArrival;
-    ev.time = parse_int(take(ss, line_no), line_no);
-    ev.coflow.id = CoflowId{parse_int(take(ss, line_no), line_no)};
-    ev.coflow.job = JobId{parse_int(take(ss, line_no), line_no)};
-    ev.coflow.stage = static_cast<int>(parse_int(take(ss, line_no), line_no));
-    ev.coflow.arrival = parse_int(take(ss, line_no), line_no);
-    ev.data_ready = parse_int(take(ss, line_no), line_no);
-    const std::int64_t n = parse_int(take(ss, line_no), line_no);
-    if (n < 0) {
-      throw std::runtime_error("journal line " + std::to_string(line_no) +
-                               ": negative flow count");
-    }
+    ev.time = take_int(cur, line_no);
+    ev.coflow.id = CoflowId{take_int(cur, line_no)};
+    ev.coflow.job = JobId{take_int(cur, line_no)};
+    ev.coflow.stage = static_cast<int>(take_int(cur, line_no));
+    ev.coflow.arrival = take_int(cur, line_no);
+    ev.data_ready = take_int(cur, line_no);
+    const std::int64_t n = take_int(cur, line_no);
+    if (n < 0) bad_line(line_no, "negative flow count");
     ev.coflow.flows.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
       FlowSpec f;
-      f.src = static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-      f.dst = static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-      f.size = parse_int(take(ss, line_no), line_no);
+      f.src = static_cast<PortIndex>(take_int(cur, line_no));
+      f.dst = static_cast<PortIndex>(take_int(cur, line_no));
+      f.size = take_int(cur, line_no);
       ev.coflow.flows.push_back(f);
     }
   } else if (tag == "D") {
     ev.kind = workload::WorkloadEvent::Kind::kDynamics;
-    ev.time = parse_int(take(ss, line_no), line_no);
+    ev.time = take_int(cur, line_no);
     ev.dynamics.time = ev.time;
     ev.dynamics.kind =
-        static_cast<DynamicsEvent::Kind>(parse_int(take(ss, line_no), line_no));
-    ev.dynamics.port =
-        static_cast<PortIndex>(parse_int(take(ss, line_no), line_no));
-    ev.dynamics.capacity_factor = parse_double(take(ss, line_no), line_no);
+        static_cast<DynamicsEvent::Kind>(take_int(cur, line_no));
+    ev.dynamics.port = static_cast<PortIndex>(take_int(cur, line_no));
+    ev.dynamics.capacity_factor = parse_double(take(cur, line_no), line_no);
   } else if (tag == "G") {
     ev.kind = workload::WorkloadEvent::Kind::kDataAvailable;
-    ev.time = parse_int(take(ss, line_no), line_no);
-    ev.gated = CoflowId{parse_int(take(ss, line_no), line_no)};
+    ev.time = take_int(cur, line_no);
+    ev.gated = CoflowId{take_int(cur, line_no)};
   } else {
-    throw std::runtime_error("journal line " + std::to_string(line_no) +
-                             ": unknown event tag '" + tag + "'");
+    bad_line(line_no, "unknown event tag '" + std::string(tag) + "'");
   }
   return ev;
 }
@@ -225,29 +222,28 @@ ReplaySource::ReplaySource(std::istream& in) : in_(in) {
     throw std::runtime_error("journal: empty stream");
   }
   ++line_no_;
-  std::istringstream ss(line);
-  std::string magic;
-  ss >> magic;
+  TokenCursor hdr(line);
+  const std::string_view magic = hdr.next();
   if (magic != "SAATHJ1") {
-    throw std::runtime_error("journal: bad magic '" + magic + "'");
+    throw std::runtime_error("journal: bad magic '" + std::string(magic) +
+                             "'");
   }
-  num_ports_ = static_cast<int>(parse_int(take(ss, line_no_), line_no_));
-  seed_ = parse_int(take(ss, line_no_), line_no_);
+  num_ports_ = static_cast<int>(take_int(hdr, line_no_));
+  seed_ = take_int(hdr, line_no_);
   // Everything after the seed is the recorded name (may contain spaces).
-  std::getline(ss, name_);
+  name_ = hdr.rest();
   if (!name_.empty() && name_.front() == ' ') name_.erase(0, 1);
   if (!std::getline(in_, line)) {
     throw std::runtime_error("journal: missing config line");
   }
   ++line_no_;
-  std::istringstream cs(line);
-  std::string tag;
-  cs >> tag;
+  TokenCursor cfg(line);
+  const std::string_view tag = cfg.next();
   if (tag != "C") {
-    throw std::runtime_error("journal: expected config line, got '" + tag +
-                             "'");
+    throw std::runtime_error("journal: expected config line, got '" +
+                             std::string(tag) + "'");
   }
-  config_ = read_config(cs, line_no_);
+  config_ = read_config(cfg, line_no_);
 }
 
 void ReplaySource::fill() {

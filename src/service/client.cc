@@ -1,12 +1,12 @@
 #include "service/client.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "replay/journal.h"
+#include "replay/token_cursor.h"
 
 namespace saath::service {
 
@@ -49,9 +49,9 @@ bool ServiceClient::drain_available(workload::WorkloadSource* reactive) {
 
 void ServiceClient::handle_frame(const std::string& frame,
                                  workload::WorkloadSource* reactive) {
-  std::istringstream ss(frame);
-  std::string verb;
-  ss >> verb;
+  replay::TokenCursor cur(frame);
+  const std::string_view verb = cur.next();
+  const auto next_int = [&cur] { return replay::to_int(cur.next()); };
   if (verb == "DONE") {
     ++report_.dones;
     if (const auto rec = parse_done(frame)) {
@@ -61,30 +61,30 @@ void ServiceClient::handle_frame(const std::string& frame,
   } else if (verb == "REJ") {
     ++report_.rejects_seen;
     if (report_.reject_lines.size() < 16) report_.reject_lines.push_back(frame);
-    std::string kind;
-    ss >> kind;
-    std::string tok;
+    const std::string_view kind = cur.next();
     std::int64_t id = -1;
-    while (ss >> tok) {
-      if (tok.rfind("id=", 0) == 0) {
-        id = std::strtoll(tok.c_str() + 3, nullptr, 10);
+    for (std::string_view tok = cur.next(); !tok.empty(); tok = cur.next()) {
+      if (tok.starts_with("id=")) {
+        id = replay::to_int(tok.substr(3)).value_or(-1);
       }
     }
     // duplicate-id means the arrival already lives in the run (restart
     // re-drive): its DONE is still owed here, keep it outstanding.
     if (id >= 0 && kind != "duplicate-id") outstanding_.erase(id);
   } else if (verb == "WELCOME") {
-    std::uint32_t sid = 0;
-    SimTime wm = 0;
-    if (ss >> sid >> wm) {
-      report_.session = sid;
-      report_.watermark = wm;
+    const auto sid = next_int();
+    const auto wm = next_int();
+    if (sid.has_value() && wm.has_value()) {
+      report_.session = static_cast<std::uint32_t>(*sid);
+      report_.watermark = *wm;
     }
   } else if (verb == "FINOK") {
-    ss >> report_.accepted >> report_.rejected;
+    report_.accepted = next_int().value_or(-1);
+    report_.rejected = next_int().value_or(-1);
     fin_ok_ = true;
   } else if (verb == "END") {
-    ss >> report_.digest_hex >> report_.makespan;
+    report_.digest_hex = cur.next();
+    report_.makespan = next_int().value_or(0);
     report_.got_end = true;
   } else if (verb == "STAT") {
     if (in_stats_) {

@@ -9,6 +9,7 @@
 
 #include "common/expect.h"
 #include "replay/checkpoint.h"
+#include "replay/token_cursor.h"
 #include "sched/factory.h"
 #include "service/protocol.h"
 #include "service/source.h"
@@ -17,12 +18,28 @@ namespace saath::service {
 
 namespace {
 
-/// Nulls the daemon's telemetry pointer before the Engine it points into
-/// is destroyed — including on the exception path, where unwinding would
-/// otherwise leave a dangling pointer visible to STATS readers.
-struct TelemetryGuard {
-  std::atomic<const LiveTelemetry*>& slot;
-  ~TelemetryGuard() { slot.store(nullptr); }
+/// Publishes the Engine's telemetry to STATS readers, and clears it under
+/// the same lock before the Engine is destroyed — including on the
+/// exception path, where unwinding would otherwise leave a dangling pointer
+/// visible to a STATS reader.
+class TelemetryGuard {
+ public:
+  TelemetryGuard(std::mutex& mu, const LiveTelemetry*& slot,
+                 const LiveTelemetry& telemetry)
+      : mu_(mu), slot_(slot) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    slot_ = &telemetry;
+  }
+  ~TelemetryGuard() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    slot_ = nullptr;
+  }
+  TelemetryGuard(const TelemetryGuard&) = delete;
+  TelemetryGuard& operator=(const TelemetryGuard&) = delete;
+
+ private:
+  std::mutex& mu_;
+  const LiveTelemetry*& slot_;
 };
 
 }  // namespace
@@ -34,14 +51,17 @@ ServiceDaemon::ServiceDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
   opts.expected_clients = cfg_.expect_clients;
   ingress_ = std::make_shared<IngressQueue>(opts);
   sink_ = std::make_unique<ServiceSink>(
-      [this](std::uint32_t sid, const std::string& line) {
-        // Count the DONE against the session before it can reach the
-        // client: a REACTIVE session enters the reacting state, so the
-        // engine blocks at the next loop top until the client answers
-        // (events-then-IDLE carrying a current dones count, or FIN) —
-        // reactive feedback stays synchronous with the epoch loop.
+      [this](std::uint32_t sid, const std::string& block) {
+        return write_to_session(sid, block);
+      },
+      [this](std::uint32_t sid) {
+        // Count the DONE against the session at completion, before its
+        // line can reach the client: a REACTIVE session enters the
+        // reacting state, so the engine blocks at its next input peek —
+        // after flushing the line — until the client answers
+        // (events-then-IDLE carrying a current dones count, or FIN).
+        // Reactive feedback stays synchronous with the epoch loop.
         ingress_->note_done(sid);
-        return write_to_session(sid, line);
       },
       cfg_.retain_done_lines);
 }
@@ -130,19 +150,19 @@ std::int64_t ServiceDaemon::recover_journal(std::string& recorded_name) {
     throw std::runtime_error("service: empty journal");
   }
   {
-    std::istringstream hs(line);
-    std::string magic;
-    int ports = 0;
-    std::int64_t seed = 0;
-    if (!(hs >> magic >> ports >> seed) || magic != "SAATHJ1") {
+    replay::TokenCursor hs(line);
+    const bool magic_ok = hs.next() == "SAATHJ1";
+    const auto ports = replay::to_int(hs.next());
+    const auto seed = replay::to_int(hs.next());
+    if (!magic_ok || !ports.has_value() || !seed.has_value()) {
       throw std::runtime_error("service: bad journal header: " + line);
     }
-    if (ports != cfg_.num_ports) {
+    if (*ports != cfg_.num_ports) {
       throw std::runtime_error(
-          "service: journal fabric has " + std::to_string(ports) +
+          "service: journal fabric has " + std::to_string(*ports) +
           " ports, daemon configured for " + std::to_string(cfg_.num_ports));
     }
-    std::getline(hs, recorded_name);
+    recorded_name = hs.rest();
     if (!recorded_name.empty() && recorded_name.front() == ' ') {
       recorded_name.erase(0, 1);
     }
@@ -258,31 +278,44 @@ void ServiceDaemon::engine_main() {
         source = live;
       }
     }
+    source = std::make_shared<DoneFlushSource>(std::move(source), *sink_);
+    // The sink keeps the completion records (see header); the configured
+    // record_results only decides whether the END digest covers them, as
+    // it decides whether an offline run's SimResult holds them.
+    const bool digest_records = cfg.record_results;
+    cfg.record_results = false;
     cfg.track_admission_latency = true;  // not journaled; re-arm on resume
     auto sched = make_scheduler(cfg_.scheduler);
     Engine engine(std::move(source), *sched, cfg);
-    const TelemetryGuard guard{telemetry_};
-    telemetry_.store(&engine.telemetry());
-    if (resume_snap_.has_value()) engine.restore_snapshot(*resume_snap_);
+    const TelemetryGuard guard(telemetry_mu_, telemetry_, engine.telemetry());
+    if (resume_snap_.has_value()) {
+      sink_->seed(std::exchange(resume_snap_->completed, {}));
+      engine.restore_snapshot(*resume_snap_);
+    }
     if (!cfg_.checkpoint_path.empty() && cfg_.checkpoint_every_epochs > 0) {
       const std::string path = cfg_.checkpoint_path;
       engine.set_snapshot_hook(
-          cfg_.checkpoint_every_epochs, [path](const EngineSnapshot& snap) {
+          cfg_.checkpoint_every_epochs,
+          [this, path](const EngineSnapshot& snap) {
+            EngineSnapshot full = snap;
+            full.completed = sink_->records();
             // tmp + rename: a kill leaves either the old checkpoint or the
             // new one, never a torn file under the canonical name.
             const std::string tmp = path + ".tmp";
             {
               std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-              replay::save_checkpoint(out, snap);
+              replay::save_checkpoint(out, full);
             }
             std::rename(tmp.c_str(), path.c_str());
           });
     }
     engine.set_result_sink(sink_.get());
-    const SimResult result = engine.run();
+    SimResult result = engine.run();
+    if (digest_records) result.coflows = sink_->take_records();
     rep.ok = true;
-    rep.digest = replay::result_digest(result);
+    // One digest pass (sort + hash of every record), read back from hex.
     rep.digest_hex = replay::result_digest_hex(result);
+    rep.digest = std::stoull(rep.digest_hex, nullptr, 16);
     rep.makespan = result.makespan;
     rep.completions = sink_->completions();
     rep.engine_stats = engine.stats();
@@ -293,6 +326,8 @@ void ServiceDaemon::engine_main() {
   const std::string end_line =
       rep.ok ? format_end(rep.digest_hex, rep.makespan)
              : format_end("deadbeefdeadbeef", -1);
+  // Buffered DONEs precede END on every connection.
+  sink_->flush();
   // END goes out before finished_ flips: wait() returning is the owner's
   // cue to destroy the daemon, and the destructor closes every connection
   // — a client blocked on END must already have its frame in the socket.
@@ -324,13 +359,18 @@ void ServiceDaemon::acceptor_loop() {
   }
 }
 
+bool ServiceDaemon::write_block(ClientConn& client, const std::string& block) {
+  const std::lock_guard<std::mutex> lock(client.write_mu);
+  return client.conn.send_all(block.data(), block.size());
+}
+
 bool ServiceDaemon::write_to(ClientConn& client, const std::string& line) {
   const std::lock_guard<std::mutex> lock(client.write_mu);
   return client.conn.send_line(line);
 }
 
 bool ServiceDaemon::write_to_session(std::uint32_t sid,
-                                     const std::string& line) {
+                                     const std::string& block) {
   std::shared_ptr<ClientConn> client;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -340,7 +380,7 @@ bool ServiceDaemon::write_to_session(std::uint32_t sid,
     if (it == conns_.end()) return false;
     client = it->second;
   }
-  return write_to(*client, line);
+  return write_block(*client, block);
 }
 
 void ServiceDaemon::broadcast(const std::string& line) {
@@ -376,8 +416,8 @@ void ServiceDaemon::drop_connection(const std::shared_ptr<ClientConn>& client) {
 
 void ServiceDaemon::reader_loop(std::shared_ptr<ClientConn> client) {
   FrameReader framer;
-  std::int64_t accepted = 0;
-  std::int64_t rejected = 0;
+  EventBatch batch;
+  Counts counts;
   char buf[64 * 1024];
   for (;;) {
     const long r = client->conn.recv_some(buf, sizeof buf);
@@ -391,8 +431,9 @@ void ServiceDaemon::reader_loop(std::shared_ptr<ClientConn> client) {
       break;
     }
     while (auto frame = framer.next_frame()) {
-      handle_frame(*client, *frame, accepted, rejected);
+      handle_frame(*client, *frame, batch, counts);
     }
+    flush_events(*client, batch, counts);
     if (framer.overflowed()) {
       (void)write_to(*client, format_reject("oversized-frame", "closing"));
       break;
@@ -403,11 +444,76 @@ void ServiceDaemon::reader_loop(std::shared_ptr<ClientConn> client) {
 
 // ----------------------------------------------------------------- requests
 
+void ServiceDaemon::flush_events(ClientConn& client, EventBatch& batch,
+                                 Counts& counts) {
+  if (batch.replies.empty()) return;
+  batch.verdicts.resize(batch.events.size());
+  if (!batch.events.empty()) {
+    ingress_->push(client.sid, batch.events, batch.verdicts);
+  }
+  std::string out;
+  for (const EventBatch::Reply& reply : batch.replies) {
+    if (reply.event < 0) {
+      out += reply.line;
+      out += '\n';
+      continue;
+    }
+    const Accept verdict =
+        batch.verdicts[static_cast<std::size_t>(reply.event)];
+    if (verdict == Accept::kOk) {
+      ++counts.accepted;
+      continue;
+    }
+    ++counts.rejected;
+    std::string detail = "t=" + std::to_string(reply.time);
+    if (reply.id >= 0) detail += " id=" + std::to_string(reply.id);
+    out += format_reject(accept_name(verdict), detail);
+    out += '\n';
+  }
+  batch.events.clear();
+  batch.replies.clear();
+  if (!out.empty()) (void)write_block(client, out);
+}
+
 void ServiceDaemon::handle_frame(ClientConn& client, const std::string& frame,
-                                 std::int64_t& accepted,
-                                 std::int64_t& rejected) {
+                                 EventBatch& batch, Counts& counts) {
   Request req = parse_request(frame);
+  if (req.kind == Request::Kind::kEvent || req.kind == Request::Kind::kBad) {
+    // Event frames (and the REJs of unusable ones) join the batch; every
+    // other verb first admits and answers what the batch holds, so replies
+    // keep frame order.
+    EventBatch::Reply reply;
+    if (req.kind == Request::Kind::kBad) {
+      ++counts.rejected;
+      reply.line = format_reject("malformed-frame", req.error);
+    } else if (client.sid == 0) {
+      ++counts.rejected;
+      reply.line = format_reject("no-session", "HELLO first");
+    } else {
+      const bool arrival =
+          req.event.kind == workload::WorkloadEvent::Kind::kArrival;
+      // Claim completion routing BEFORE admission so a completion racing
+      // the accept cannot slip between them; an already-completed id
+      // (restart re-drive) short-circuits to a DONE replay.
+      std::optional<std::string> done;
+      if (arrival) done = sink_->claim(req.event.coflow.id, client.sid);
+      if (done.has_value()) {
+        reply.line = std::move(*done);
+      } else {
+        reply.event = static_cast<std::int64_t>(batch.events.size());
+        reply.time = req.event.time;
+        if (arrival) reply.id = req.event.coflow.id.value;
+        batch.events.push_back(std::move(req.event));
+      }
+    }
+    batch.replies.push_back(std::move(reply));
+    return;
+  }
+  flush_events(client, batch, counts);
   switch (req.kind) {
+    case Request::Kind::kEvent:
+    case Request::Kind::kBad:
+      return;  // batched above
     case Request::Kind::kHello: {
       if (client.sid != 0) {
         (void)write_to(client, format_reject("protocol", "already HELLOed"));
@@ -445,40 +551,6 @@ void ServiceDaemon::handle_frame(ClientConn& client, const std::string& frame,
       (void)write_to(client, format_welcome(sid, ingress_->watermark()));
       return;
     }
-    case Request::Kind::kEvent: {
-      if (client.sid == 0) {
-        ++rejected;
-        (void)write_to(client, format_reject("no-session", "HELLO first"));
-        return;
-      }
-      if (req.event.kind == workload::WorkloadEvent::Kind::kArrival) {
-        // Claim completion routing BEFORE admission so a completion racing
-        // the accept cannot slip between them; an already-completed id
-        // (restart re-drive) short-circuits to a DONE replay.
-        if (const auto done =
-                sink_->claim(req.event.coflow.id, client.sid)) {
-          (void)write_to(client, *done);
-          return;
-        }
-      }
-      const SimTime t = req.event.time;
-      const std::int64_t id =
-          req.event.kind == workload::WorkloadEvent::Kind::kArrival
-              ? req.event.coflow.id.value
-              : -1;
-      const Accept verdict = ingress_->push(client.sid, std::move(req.event));
-      if (verdict == Accept::kOk) {
-        ++accepted;
-      } else {
-        ++rejected;
-        (void)write_to(client,
-                       format_reject(accept_name(verdict),
-                                     "t=" + std::to_string(t) +
-                                         (id >= 0 ? " id=" + std::to_string(id)
-                                                  : std::string())));
-      }
-      return;
-    }
     case Request::Kind::kReactive: {
       if (client.sid == 0) {
         (void)write_to(client, format_reject("no-session", "HELLO first"));
@@ -501,17 +573,12 @@ void ServiceDaemon::handle_frame(ClientConn& client, const std::string& frame,
     }
     case Request::Kind::kFin: {
       if (client.sid != 0) ingress_->finish_session(client.sid);
-      (void)write_to(client, format_finok(accepted, rejected));
+      (void)write_to(client, format_finok(counts.accepted, counts.rejected));
       return;
     }
     case Request::Kind::kShutdown: {
       (void)write_to(client, "BYE");
       shutdown();
-      return;
-    }
-    case Request::Kind::kBad: {
-      ++rejected;
-      (void)write_to(client, format_reject("malformed-frame", req.error));
       return;
     }
   }
@@ -545,15 +612,21 @@ std::string ServiceDaemon::stats_text() const {
   stat("admission_wait_p50_us", usec(in.wait_latency.percentile(50)));
   stat("admission_wait_p99_us", usec(in.wait_latency.percentile(99)));
   stat("admission_wait_max_us", usec(in.wait_latency.max()));
-  if (const LiveTelemetry* t = telemetry_.load()) {
-    stat("live_coflows", std::to_string(t->live_coflows.load()));
-    stat("completed_coflows", std::to_string(t->completed_coflows.load()));
-    stat("epochs", std::to_string(t->epochs.load()));
-    stat("quarantined_now", std::to_string(t->quarantined_now.load()));
-    stat("abandoned", std::to_string(t->abandoned.load()));
-    stat("engine_source_events", std::to_string(t->source_events.load()));
-    stat("engine_rejected_events", std::to_string(t->rejected_events.load()));
-    stat("sim_now_us", std::to_string(t->sim_now.load()));
+  {
+    // Held across the reads: the engine thread clears telemetry_ under
+    // this lock before it destroys the Engine.
+    const std::lock_guard<std::mutex> lock(telemetry_mu_);
+    if (const LiveTelemetry* t = telemetry_) {
+      stat("live_coflows", std::to_string(t->live_coflows.load()));
+      stat("completed_coflows", std::to_string(t->completed_coflows.load()));
+      stat("epochs", std::to_string(t->epochs.load()));
+      stat("quarantined_now", std::to_string(t->quarantined_now.load()));
+      stat("abandoned", std::to_string(t->abandoned.load()));
+      stat("engine_source_events", std::to_string(t->source_events.load()));
+      stat("engine_rejected_events",
+           std::to_string(t->rejected_events.load()));
+      stat("sim_now_us", std::to_string(t->sim_now.load()));
+    }
   }
   stat("completions_streamed", std::to_string(sink_->completions()));
   stat("completions_unrouted", std::to_string(sink_->unrouted()));

@@ -2,13 +2,20 @@
 //
 // Thread shape:
 //   engine thread      — builds the source chain and runs Engine::run();
-//                        DONE lines are written from here via ServiceSink.
+//                        DONE lines are written from here via ServiceSink,
+//                        coalesced per session and flushed once per epoch.
 //   acceptor thread    — Listener::accept loop, one reader thread per
 //                        connection.
-//   reader threads     — frame + parse requests, push into IngressQueue,
-//                        answer WELCOME / REJ / FINOK / STAT from their own
+//   reader threads     — frame + parse requests, push each recv's event
+//                        frames into IngressQueue as one batch, answer
+//                        WELCOME / REJ / FINOK / STAT from their own
 //                        thread (per-connection write mutex arbitrates
 //                        against engine-thread DONEs).
+//
+// The engine runs record_results = false whatever the configured SimConfig
+// says, so finished CoFlow state is reclaimed mid-run. The daemon keeps one
+// completion record per finished CoFlow in its ServiceSink instead: the END
+// digest is computed over those, and checkpoints carry them.
 //
 // Crash safety composes PR 7 verbatim: the live ingress is wrapped in a
 // RecordingSource (journal flush BEFORE the engine sees an event) and the
@@ -21,7 +28,6 @@
 // uninterrupted run's bit-for-bit (the CI service-smoke gate).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -50,7 +56,8 @@ struct DaemonConfig {
   std::string scheduler = "saath";
   /// Engine template. The daemon forces strict_input = false (rejects are
   /// typed at ingress AND tolerated in-engine) and enables
-  /// track_admission_latency.
+  /// track_admission_latency. The journal records it as configured; the
+  /// engine itself always runs record_results = false (see header).
   SimConfig sim;
   /// Sessions that must connect and FIN before the run drains; 0 = serve
   /// until shutdown().
@@ -65,8 +72,8 @@ struct DaemonConfig {
   /// Workload name for the digest/journal header; empty = adopt from the
   /// first HELLO (a later HELLO naming a different workload is rejected).
   std::string workload_name;
-  /// Retain DONE lines by id so re-registrations after a crash replay
-  /// completions (costs one small string per completed CoFlow).
+  /// Index completion records by id so re-registrations after a crash
+  /// replay completions (costs one hash entry per completed CoFlow).
   bool retain_done_lines = true;
 };
 
@@ -109,14 +116,38 @@ class ServiceDaemon {
     std::uint64_t key = 0;  // conns_ map key
   };
 
+  /// A connection's consecutive event frames from one recv, admitted as a
+  /// unit by flush_events(): parsed and claimed with no ingress lock held,
+  /// pushed under one lock, answered in frame order with one write.
+  struct EventBatch {
+    /// One reply slot per frame: `line` verbatim, or (event >= 0) the REJ
+    /// for events[event] should its verdict be a reject.
+    struct Reply {
+      std::string line;
+      std::int64_t event = -1;
+      SimTime time = 0;
+      std::int64_t id = -1;  // arrival id, -1 for gate/dynamics events
+    };
+    std::vector<workload::WorkloadEvent> events;
+    std::vector<Accept> verdicts;
+    std::vector<Reply> replies;
+  };
+  struct Counts {
+    std::int64_t accepted = 0;
+    std::int64_t rejected = 0;
+  };
+
   void acceptor_loop();
   void reader_loop(std::shared_ptr<ClientConn> client);
   void engine_main();
   void handle_frame(ClientConn& client, const std::string& frame,
-                    std::int64_t& accepted, std::int64_t& rejected);
+                    EventBatch& batch, Counts& counts);
+  void flush_events(ClientConn& client, EventBatch& batch, Counts& counts);
+  /// Sends `block` (newline-terminated lines) under the write mutex.
+  [[nodiscard]] bool write_block(ClientConn& client, const std::string& block);
   [[nodiscard]] bool write_to(ClientConn& client, const std::string& line);
   [[nodiscard]] bool write_to_session(std::uint32_t sid,
-                                      const std::string& line);
+                                      const std::string& block);
   void broadcast(const std::string& line);
   void drop_connection(const std::shared_ptr<ClientConn>& client);
   /// Blocks the engine thread until the workload name is known (config,
@@ -154,9 +185,12 @@ class ServiceDaemon {
   bool finished_ = false;
   ServiceReport report_;
 
-  /// Engine telemetry pointer, valid while the engine thread runs (atomics
-  /// inside; read-only from STATS).
-  std::atomic<const LiveTelemetry*> telemetry_{nullptr};
+  /// Engine telemetry (atomics inside; read-only from STATS). Set while
+  /// the Engine lives: the engine thread clears it under telemetry_mu_
+  /// before the Engine is destroyed, and STATS reads through it under the
+  /// same lock, so a reader never outlives the object it reads.
+  mutable std::mutex telemetry_mu_;
+  const LiveTelemetry* telemetry_ = nullptr;
   std::chrono::steady_clock::time_point started_at_;
 
   std::ofstream journal_out_;

@@ -78,7 +78,7 @@ std::uint32_t IngressQueue::open_session(std::string name) {
   sessions_.emplace(sid, std::move(s));
   ++sessions_opened_;
   ++stats_.sessions_opened;
-  cv_.notify_all();
+  wake_consumer();
   return sid;
 }
 
@@ -88,7 +88,7 @@ void IngressQueue::finish_session(std::uint32_t sid) {
   if (it == sessions_.end()) return;
   it->second.finished = true;
   it->second.reacting = false;
-  cv_.notify_all();
+  wake_consumer();
 }
 
 Accept IngressQueue::validate(const Session& s,
@@ -172,36 +172,58 @@ void IngressQueue::set_idle(std::uint32_t sid, std::int64_t dones_seen) {
   if (dones_seen >= 0 && dones_seen < s.dones_routed) return;
   s.idle = true;
   s.reacting = false;
-  cv_.notify_all();
+  wake_consumer();
 }
 
-Accept IngressQueue::push(std::uint32_t sid, workload::WorkloadEvent ev) {
+void IngressQueue::push(std::uint32_t sid,
+                        std::span<workload::WorkloadEvent> events,
+                        std::span<Accept> verdicts) {
+  SAATH_EXPECTS(verdicts.size() == events.size());
+  const std::int64_t now_ns = steady_ns();
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sessions_.find(sid);
-  if (it == sessions_.end()) return Accept::kClosed;
+  if (it == sessions_.end()) {
+    std::fill(verdicts.begin(), verdicts.end(), Accept::kClosed);
+    return;
+  }
   Session& s = it->second;
   // Any push (accepted or not) ends the session's declared idleness: the
   // client is mid-reaction and will re-IDLE (or FIN) when its burst ends.
   s.idle = false;
-  const Accept verdict = validate(s, ev);
-  if (verdict != Accept::kOk) {
-    ++s.rejected;
-    ++stats_.rejected;
-    return verdict;
+  bool any_ok = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    workload::WorkloadEvent& ev = events[i];
+    verdicts[i] = validate(s, ev);
+    if (verdicts[i] != Accept::kOk) {
+      ++s.rejected;
+      ++stats_.rejected;
+      continue;
+    }
+    if (ev.kind == workload::WorkloadEvent::Kind::kArrival) {
+      accepted_ids_.insert(ev.coflow.id.value);
+    }
+    // Sorted insert: a reaction-window push may precede queued later
+    // events. The common in-order push appends without a search.
+    const MergeKey key = MergeKey::of(ev);
+    if (s.queue.empty() || !(key < MergeKey::of(s.queue.back().ev))) {
+      s.queue.push_back(Pending{std::move(ev), now_ns});
+    } else {
+      const auto pos = std::upper_bound(
+          s.queue.begin(), s.queue.end(), key,
+          [](const MergeKey& k, const Pending& p) {
+            return k < MergeKey::of(p.ev);
+          });
+      s.queue.insert(pos, Pending{std::move(ev), now_ns});
+    }
+    ++s.accepted;
+    ++stats_.pushed;
+    any_ok = true;
   }
-  if (ev.kind == workload::WorkloadEvent::Kind::kArrival) {
-    accepted_ids_.insert(ev.coflow.id.value);
-  }
-  // Sorted insert: a reaction-window push may precede queued later events.
-  const MergeKey key = MergeKey::of(ev);
-  const auto pos = std::upper_bound(
-      s.queue.begin(), s.queue.end(), key,
-      [](const MergeKey& k, const Pending& p) { return k < MergeKey::of(p.ev); });
-  s.queue.insert(pos, Pending{std::move(ev), steady_ns()});
-  ++s.accepted;
-  ++stats_.pushed;
-  cv_.notify_all();
-  return Accept::kOk;
+  if (any_ok) wake_consumer();
+}
+
+void IngressQueue::wake_consumer() {
+  if (consumer_waiting_) cv_.notify_one();
 }
 
 bool IngressQueue::merge_ready() const {
@@ -285,8 +307,14 @@ IngressQueue::Session* IngressQueue::min_head() {
 
 SimTime IngressQueue::blocking_peek() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock,
-           [this] { return merge_ready() || drained() || idle_quiet(); });
+  const auto knowable = [this] {
+    return merge_ready() || drained() || idle_quiet();
+  };
+  if (!knowable()) {
+    consumer_waiting_ = true;
+    cv_.wait(lock, knowable);
+    consumer_waiting_ = false;
+  }
   if (!merge_ready()) return kNever;  // drained, or every session idle
   return min_head()->queue.front().ev.time;
 }
@@ -347,7 +375,7 @@ void IngressQueue::adopt_restart_state(
 void IngressQueue::close_all() {
   const std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+  wake_consumer();
 }
 
 IngressStats IngressQueue::stats_snapshot() const {

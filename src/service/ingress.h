@@ -36,8 +36,8 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,7 +99,12 @@ class IngressQueue {
   [[nodiscard]] std::uint32_t open_session(std::string name);
   /// FIN or disconnect: no further pushes; queued events still release.
   void finish_session(std::uint32_t sid);
-  [[nodiscard]] Accept push(std::uint32_t sid, workload::WorkloadEvent ev);
+  /// Admits one session's events in order under a single lock:
+  /// verdicts[i] is events[i]'s, and accepted events are moved out of
+  /// `events`. The batch wakes the engine once, and only if it is blocked
+  /// waiting for input. A one-event span is the per-event push.
+  void push(std::uint32_t sid, std::span<workload::WorkloadEvent> events,
+            std::span<Accept> verdicts);
   /// Declares the session reactive (the REACTIVE verb, sent before any
   /// events): its future input depends on completions, so every DONE
   /// routed to it (note_done, called by the daemon BEFORE the DONE leaves
@@ -154,13 +159,46 @@ class IngressQueue {
     workload::WorkloadEvent ev;
     std::int64_t push_ns;  // steady-clock stamp for wait_latency
   };
+  /// A vector with a consumed prefix rather than a deque: pops advance
+  /// `head_` and the storage is reused, so a steady stream allocates
+  /// nothing here (a deque frees a block every few pops on the engine
+  /// thread and allocates one every few pushes on the reader's).
+  class PendingQueue {
+   public:
+    using iterator = std::vector<Pending>::iterator;
+    [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+    [[nodiscard]] Pending& front() { return items_[head_]; }
+    [[nodiscard]] const Pending& front() const { return items_[head_]; }
+    [[nodiscard]] const Pending& back() const { return items_.back(); }
+    [[nodiscard]] iterator begin() {
+      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    [[nodiscard]] iterator end() { return items_.end(); }
+    void push_back(Pending p) { items_.push_back(std::move(p)); }
+    void insert(iterator pos, Pending p) { items_.insert(pos, std::move(p)); }
+    void pop_front() {
+      ++head_;
+      if (head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (head_ >= kCompactAt && 2 * head_ >= items_.size()) {
+        items_.erase(items_.begin(), begin());
+        head_ = 0;
+      }
+    }
+
+   private:
+    static constexpr std::size_t kCompactAt = 1024;
+    std::vector<Pending> items_;
+    std::size_t head_ = 0;
+  };
   struct Session {
     std::string name;
     /// Time-sorted (by MergeKey) — NOT push order: a reactive client's
     /// answer to a completion at t may arrive after later script events
     /// already queued, and must merge ahead of them (the offline engine's
     /// lazy pull would not have consumed those later events yet).
-    std::deque<Pending> queue;
+    PendingQueue queue;
     bool finished = false;
     bool idle = false;
     /// Declared via the REACTIVE verb: completions routed here gate the
@@ -188,10 +226,15 @@ class IngressQueue {
   /// The session holding the merge minimum, or nullptr if every queue is
   /// empty; caller holds mu_.
   [[nodiscard]] Session* min_head();
+  /// Wakes the engine if it is blocked in blocking_peek(); caller holds mu_.
+  void wake_consumer();
 
   IngressOptions opts_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// The engine thread is parked in blocking_peek(): only then does a
+  /// state change need a notify.
+  bool consumer_waiting_ = false;
   std::unordered_map<std::uint32_t, Session> sessions_;
   std::uint32_t next_sid_ = 1;
   std::int64_t sessions_opened_ = 0;

@@ -1,9 +1,12 @@
 #include "service/protocol.h"
 
-#include <sstream>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "replay/journal.h"
+#include "replay/token_cursor.h"
 
 namespace saath::service {
 
@@ -78,15 +81,18 @@ Request parse_request(const std::string& frame) {
     }
     return req;
   }
-  std::istringstream ss(frame);
-  std::string verb;
-  ss >> verb;
+  replay::TokenCursor cur(frame);
+  const std::string_view verb = cur.next();
   if (verb == "HELLO") {
-    if (!(ss >> req.client_name >> req.num_ports) || req.num_ports <= 0) {
+    req.client_name = cur.next();
+    const auto ports = replay::to_int(cur.next());
+    if (req.client_name.empty() || !ports.has_value() || *ports <= 0 ||
+        *ports > std::numeric_limits<int>::max()) {
       req.error = "HELLO wants: HELLO <client> <num_ports> <workload...>";
       return req;
     }
-    std::getline(ss, req.workload_name);
+    req.num_ports = static_cast<int>(*ports);
+    req.workload_name = cur.rest();
     if (!req.workload_name.empty() && req.workload_name.front() == ' ') {
       req.workload_name.erase(0, 1);
     }
@@ -98,8 +104,16 @@ Request parse_request(const std::string& frame) {
   } else if (verb == "REACTIVE") {
     req.kind = Request::Kind::kReactive;
   } else if (verb == "IDLE") {
+    // The count is optional; absent, idle_dones stays -1 (unconditional).
+    if (const std::string_view tok = cur.next(); !tok.empty()) {
+      const auto dones = replay::to_int(tok);
+      if (!dones.has_value()) {
+        req.error = "IDLE wants: IDLE [<dones-seen>]";
+        return req;
+      }
+      req.idle_dones = *dones;
+    }
     req.kind = Request::Kind::kIdle;
-    ss >> req.idle_dones;  // optional; stays -1 (unconditional) if absent
   } else if (verb == "STATS") {
     req.kind = Request::Kind::kStats;
   } else if (verb == "FIN") {
@@ -107,7 +121,7 @@ Request parse_request(const std::string& frame) {
   } else if (verb == "SHUTDOWN") {
     req.kind = Request::Kind::kShutdown;
   } else {
-    req.error = "unknown verb '" + verb + "'";
+    req.error = "unknown verb '" + std::string(verb) + "'";
   }
   return req;
 }
@@ -130,10 +144,24 @@ std::string format_reject(const char* kind, const std::string& detail) {
 }
 
 std::string format_done(const CoflowRecord& rec) {
-  return "DONE " + std::to_string(rec.id.value) + ' ' +
-         std::to_string(rec.job.value) + ' ' + std::to_string(rec.stage) +
-         ' ' + std::to_string(rec.arrival) + ' ' +
-         std::to_string(rec.finish);
+  std::string line;
+  append_done(line, rec);
+  return line;
+}
+
+void append_done(std::string& out, const CoflowRecord& rec) {
+  // Five integers through to_chars into one stack buffer: this runs once
+  // per completion on the engine thread.
+  char buf[5 * 21 + 8] = "DONE";
+  char* p = buf + 4;
+  char* const end = buf + sizeof buf;
+  for (const std::int64_t v :
+       {rec.id.value, rec.job.value, static_cast<std::int64_t>(rec.stage),
+        rec.arrival, rec.finish}) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, v).ptr;
+  }
+  out.append(buf, p);
 }
 
 std::string format_finok(std::int64_t accepted, std::int64_t rejected) {
@@ -145,19 +173,21 @@ std::string format_end(const std::string& digest_hex, SimTime makespan) {
   return "END " + digest_hex + ' ' + std::to_string(makespan);
 }
 
-std::optional<CoflowRecord> parse_done(const std::string& line) {
-  std::istringstream ss(line);
-  std::string verb;
-  ss >> verb;
-  if (verb != "DONE") return std::nullopt;
-  std::int64_t id = 0;
-  std::int64_t job = 0;
-  CoflowRecord rec;
-  if (!(ss >> id >> job >> rec.stage >> rec.arrival >> rec.finish)) {
-    return std::nullopt;
+std::optional<CoflowRecord> parse_done(std::string_view line) {
+  replay::TokenCursor cur(line);
+  if (cur.next() != "DONE") return std::nullopt;
+  std::int64_t fields[5] = {};
+  for (std::int64_t& f : fields) {
+    const auto v = replay::to_int(cur.next());
+    if (!v.has_value()) return std::nullopt;
+    f = *v;
   }
-  rec.id = CoflowId{id};
-  rec.job = JobId{job};
+  CoflowRecord rec;
+  rec.id = CoflowId{fields[0]};
+  rec.job = JobId{fields[1]};
+  rec.stage = static_cast<int>(fields[2]);
+  rec.arrival = fields[3];
+  rec.finish = fields[4];
   return rec;
 }
 

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/result.h"
 #include "workload/source.h"
@@ -116,6 +117,8 @@ struct Request {
 [[nodiscard]] std::string format_reject(const char* kind,
                                         const std::string& detail);
 [[nodiscard]] std::string format_done(const CoflowRecord& rec);
+/// format_done appended to `out` (no newline), without a temporary.
+void append_done(std::string& out, const CoflowRecord& rec);
 [[nodiscard]] std::string format_finok(std::int64_t accepted,
                                        std::int64_t rejected);
 [[nodiscard]] std::string format_end(const std::string& digest_hex,
@@ -124,6 +127,6 @@ struct Request {
 /// Client-side parse of a DONE line into the CoflowRecord fields reactive
 /// sources consume (id, job, stage, arrival, finish — per-flow detail does
 /// not travel). Returns nullopt when `line` is not a DONE frame.
-[[nodiscard]] std::optional<CoflowRecord> parse_done(const std::string& line);
+[[nodiscard]] std::optional<CoflowRecord> parse_done(std::string_view line);
 
 }  // namespace saath::service

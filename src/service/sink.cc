@@ -1,5 +1,10 @@
 #include "service/sink.h"
 
+#include <algorithm>
+#include <iterator>
+#include <unordered_map>
+#include <utility>
+
 #include "service/protocol.h"
 
 namespace saath::service {
@@ -7,49 +12,107 @@ namespace saath::service {
 std::optional<std::string> ServiceSink::claim(CoflowId id,
                                               std::uint32_t session) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (const auto done = done_lines_.find(id.value);
-      done != done_lines_.end()) {
-    return done->second;
+  IdState& st = ids_[id.value];
+  if (st.record >= 0) {
+    return format_done(records_[static_cast<std::size_t>(st.record)]);
   }
   // Last claim wins: after a crash the re-registering session takes over
   // completion routing from the dead one.
-  route_[id.value] = session;
+  st.session = session;
   return std::nullopt;
 }
 
 void ServiceSink::release_session(std::uint32_t session) {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = route_.begin(); it != route_.end();) {
-    it = it->second == session ? route_.erase(it) : std::next(it);
-  }
+  // Only pending routes carry a session: completion clears it, and a
+  // claim on a completed id replays instead of routing.
+  std::erase_if(ids_, [session](const auto& entry) {
+    return entry.second.session == session;
+  });
 }
 
 void ServiceSink::on_coflow_complete(const CoflowRecord& rec, SimTime now) {
   (void)now;
-  std::string line = format_done(rec);
   std::uint32_t session = 0;
-  bool routed = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ++completions_;
-    if (retain_done_lines_) done_lines_.emplace(rec.id.value, line);
-    if (const auto it = route_.find(rec.id.value); it != route_.end()) {
-      session = it->second;
-      routed = true;
-      route_.erase(it);
+    const auto it = ids_.find(rec.id.value);
+    if (it != ids_.end()) {
+      session = it->second.session;
+      it->second.session = 0;
     }
+    if (session == 0) ++unrouted_;
+    if (!retain_done_lines_) {
+      if (it != ids_.end()) ids_.erase(it);
+    } else if (it != ids_.end()) {
+      it->second.record = static_cast<std::int64_t>(records_.size());
+    } else {
+      ids_.emplace(rec.id.value,
+                   IdState{0, static_cast<std::int64_t>(records_.size())});
+    }
+    records_.push_back(rec);
   }
-  // The socket write happens outside mu_: a slow client must not block
+  if (session == 0) return;
+  on_route_(session);
+  auto box = std::find_if(outboxes_.begin(), outboxes_.end(),
+                          [session](const Outbox& o) {
+                            return o.session == session;
+                          });
+  if (box == outboxes_.end()) {
+    outboxes_.push_back(Outbox{session, {}, 0});
+    box = std::prev(outboxes_.end());
+  }
+  append_done(box->lines, rec);
+  box->lines += '\n';
+  ++box->count;
+  pending_ = true;
+}
+
+void ServiceSink::flush() {
+  if (!pending_) return;
+  pending_ = false;
+  // The socket writes happen outside mu_: a slow client must not block
   // claim()/release paths on the reader threads.
-  if (!routed || !writer_(session, line)) {
+  std::int64_t lost = 0;
+  for (Outbox& box : outboxes_) {
+    if (box.count == 0) continue;
+    if (!writer_(box.session, box.lines)) lost += box.count;
+    box.lines.clear();
+    box.count = 0;
+  }
+  if (lost > 0) {
     const std::lock_guard<std::mutex> lock(mu_);
-    ++unrouted_;
+    unrouted_ += lost;
   }
 }
 
 void ServiceSink::on_run_end(SimTime makespan) {
   const std::lock_guard<std::mutex> lock(mu_);
   makespan_ = makespan;
+}
+
+void ServiceSink::seed(std::vector<CoflowRecord> completed) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  records_ = std::move(completed);
+  if (!retain_done_lines_) return;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    ids_[records_[i].id.value].record = static_cast<std::int64_t>(i);
+  }
+}
+
+std::vector<CoflowRecord> ServiceSink::records() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return records_;
+}
+
+std::vector<CoflowRecord> ServiceSink::take_records() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [id, st] : ids_) {
+    (void)id;
+    st.record = -1;
+  }
+  return std::exchange(records_, {});
 }
 
 std::int64_t ServiceSink::completions() const {

@@ -6,6 +6,9 @@
 // ScriptSource's epoch semantics — the engine makes the same decisions at
 // the same simulated instants, so the digest matches by construction.
 //
+// DoneFlushSource tops the daemon's source chain: it flushes the sink's
+// coalesced DONE lines before every input peek that follows a completion.
+//
 // ChainSource concatenates a finite prefix source with a live one — the
 // restart shape: ReplaySource over the journal suffix past the checkpoint
 // cursor, then the (journaled) live ingress. Exhaustion of the prefix is
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "service/ingress.h"
+#include "service/sink.h"
 #include "workload/source.h"
 
 namespace saath::service {
@@ -82,6 +86,35 @@ class VectorSource final : public workload::WorkloadSource {
   int num_ports_;
   std::vector<workload::WorkloadEvent> events_;
   std::size_t idx_ = 0;
+};
+
+/// Forwards to `inner`, flushing `sink` first on every peek. The engine
+/// peeks its source at the top of each epoch and before it can block on
+/// live input, so DONE lines leave once per epoch that completed something
+/// and always before the engine waits for a reactive client's answer.
+/// flush() is a no-op with nothing buffered.
+class DoneFlushSource final : public workload::WorkloadSource {
+ public:
+  DoneFlushSource(std::shared_ptr<workload::WorkloadSource> inner,
+                  ServiceSink& sink)
+      : inner_(std::move(inner)), sink_(sink) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] int num_ports() const override { return inner_->num_ports(); }
+  [[nodiscard]] SimTime peek_next_time() override {
+    sink_.flush();
+    return inner_->peek_next_time();
+  }
+  [[nodiscard]] workload::WorkloadEvent next() override {
+    return inner_->next();
+  }
+  void on_coflow_complete(const CoflowRecord& rec, SimTime now) override {
+    inner_->on_coflow_complete(rec, now);
+  }
+
+ private:
+  std::shared_ptr<workload::WorkloadSource> inner_;
+  ServiceSink& sink_;
 };
 
 class ChainSource final : public workload::WorkloadSource {

@@ -3,6 +3,9 @@
 // typed input faults in tolerant mode, and quarantine of stalled CoFlows.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -164,6 +167,85 @@ TEST(RecordReplay, MalformedJournalThrowsNamingTheLine) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
+}
+
+/// parse_event_line's error text for `line`, or "" when it parses.
+std::string parse_error(const std::string& line, std::int64_t line_no) {
+  try {
+    (void)replay::parse_event_line(line, line_no);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RecordReplay, EventLineGrammarRoundTripsEveryKind) {
+  std::vector<WorkloadEvent> events;
+  CoflowSpec wide = testing::make_coflow(
+      7, 1234, {{0, 3, 1}, {2, 1, 999'999'999'999}, {3, 0, 0}});
+  wide.job = JobId{-1};
+  wide.stage = 4;
+  events.push_back(WorkloadEvent::arrival(wide));
+  CoflowSpec extreme = testing::make_coflow(
+      std::numeric_limits<std::int64_t>::max(), 0, {{1, 2, 5}});
+  extreme.arrival = -3;  // tolerant-mode streams journal the mismatch
+  events.push_back(WorkloadEvent::arrival(extreme));
+  events.back().data_ready = std::numeric_limits<std::int64_t>::min();
+  events.push_back(WorkloadEvent::data_available(CoflowId{7}, 77));
+  for (const double factor : {0.0, 1.0, 0.5, 1.0 / 3.0, 5e-324}) {
+    DynamicsEvent d;
+    d.time = 88;
+    d.kind = DynamicsEvent::Kind::kStragglerStart;
+    d.port = 3;
+    d.capacity_factor = factor;
+    events.push_back(WorkloadEvent::dynamics_at(d));
+  }
+  for (const WorkloadEvent& ev : events) {
+    const std::string line = replay::format_event_line(ev);
+    const auto back = replay::parse_event_line(line, 1);
+    ASSERT_TRUE(back.has_value()) << line;
+    EXPECT_EQ(replay::format_event_line(*back), line);
+    EXPECT_EQ(back->kind, ev.kind) << line;
+    EXPECT_EQ(back->time, ev.time) << line;
+    if (ev.kind == WorkloadEvent::Kind::kDynamics) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back->dynamics.capacity_factor),
+                std::bit_cast<std::uint64_t>(ev.dynamics.capacity_factor))
+          << line;
+    }
+  }
+  // Token boundaries are any C-locale whitespace, as with a stream.
+  const auto spaced = replay::parse_event_line(" G\t77 \v 7\r", 1);
+  ASSERT_TRUE(spaced.has_value());
+  EXPECT_EQ(replay::format_event_line(*spaced), "G 77 7");
+  EXPECT_FALSE(replay::parse_event_line("", 1).has_value());
+  EXPECT_FALSE(replay::parse_event_line(" \t ", 1).has_value());
+}
+
+TEST(RecordReplay, EventLineRejectsWithTheJournalErrorText) {
+  EXPECT_EQ(parse_error("A 0 0 -1", 3), "journal line 3: truncated record");
+  EXPECT_EQ(parse_error("A 0 1 0 0 0 0 2 0 1 5", 4),
+            "journal line 4: truncated record");
+  EXPECT_EQ(parse_error("G 5", 2), "journal line 2: truncated record");
+  EXPECT_EQ(parse_error("A 0 x 0 0 0 0 0", 7),
+            "journal line 7: bad integer 'x'");
+  EXPECT_EQ(parse_error("G 5 12abc", 7), "journal line 7: bad integer '12abc'");
+  EXPECT_EQ(parse_error("G 5 1.5", 7), "journal line 7: bad integer '1.5'");
+  EXPECT_EQ(parse_error("G - 1", 7), "journal line 7: bad integer '-'");
+  EXPECT_EQ(parse_error("A 0 1 0 0 0 0 -1", 7),
+            "journal line 7: negative flow count");
+  EXPECT_EQ(parse_error("D 5 0 1 zz", 9), "journal line 9: bad double 'zz'");
+  EXPECT_EQ(parse_error("Z 1 2", 7), "journal line 7: unknown event tag 'Z'");
+  EXPECT_EQ(parse_error("AB 1 2", 0), "journal line 0: unknown event tag 'AB'");
+  // A leading '+' is still an integer sign, as strtoll read it; a sign
+  // with no digits, or two signs, is not.
+  const auto plus = replay::parse_event_line("A +5 +1 0 0 +5 0 1 0 1 +100", 1);
+  ASSERT_TRUE(plus.has_value());
+  EXPECT_EQ(replay::format_event_line(*plus), "A 5 1 0 0 5 0 1 0 1 100");
+  EXPECT_EQ(parse_error("G 5 +-1", 1), "journal line 1: bad integer '+-1'");
+  EXPECT_EQ(parse_error("G 5 +", 1), "journal line 1: bad integer '+'");
+  // Values outside int64 are rejected rather than clamped.
+  EXPECT_EQ(parse_error("G 5 9223372036854775808", 1),
+            "journal line 1: bad integer '9223372036854775808'");
 }
 
 // ----------------------------------------------------- checkpoint / resume

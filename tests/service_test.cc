@@ -5,16 +5,21 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "replay/checkpoint.h"
 #include "replay/journal.h"
 #include "sched/factory.h"
 #include "service/client.h"
@@ -23,6 +28,7 @@
 #include "service/protocol.h"
 #include "service/source.h"
 #include "sim/engine.h"
+#include "workload/scenario.h"
 #include "test_util.h"
 
 namespace saath::service {
@@ -131,6 +137,30 @@ TEST(Protocol, DoneRoundTrip) {
   EXPECT_EQ(back->arrival, rec.arrival);
   EXPECT_EQ(back->finish, rec.finish);
   EXPECT_FALSE(parse_done("DINE 1 2 3 4 5").has_value());
+  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-7},
+                               std::numeric_limits<std::int64_t>::max(),
+                               std::numeric_limits<std::int64_t>::min()}) {
+    CoflowRecord edge;
+    edge.id = CoflowId{v};
+    edge.job = JobId{-v / 2};
+    edge.stage = 3;
+    edge.arrival = v;
+    edge.finish = v / 3;
+    const std::string line = format_done(edge);
+    const auto parsed = parse_done(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(format_done(*parsed), line);
+    std::string appended = "x";
+    append_done(appended, edge);
+    EXPECT_EQ(appended, "x" + line);
+  }
+  EXPECT_FALSE(parse_done("DONE 1 2 3 4").has_value());
+  EXPECT_FALSE(parse_done("DONE 1 2 x 4 5").has_value());
+  EXPECT_FALSE(parse_done("DONE 1 2 3 4 5x").has_value());
+  EXPECT_FALSE(parse_done("").has_value());
+  const auto spaced = parse_done("  DONE\t1 2  3 4 5 ");
+  ASSERT_TRUE(spaced.has_value());
+  EXPECT_EQ(spaced->finish, 5);
 }
 
 // ----------------------------------------------------------------- ingress
@@ -139,29 +169,36 @@ WorkloadEvent arrival_at(std::int64_t id, SimTime t) {
   return WorkloadEvent::arrival(testing::make_coflow(id, t, {{0, 1, 100}}));
 }
 
+/// A one-event batch: the per-event push.
+Accept push_one(IngressQueue& q, std::uint32_t sid, WorkloadEvent ev) {
+  Accept verdict = Accept::kClosed;
+  q.push(sid, std::span(&ev, 1), std::span(&verdict, 1));
+  return verdict;
+}
+
 TEST(Ingress, SortedInsertAndWatermarkFence) {
   IngressQueue q({/*num_ports=*/4, /*expected_clients=*/1});
   const auto sid = q.open_session("c");
   // Out-of-push-order but both beyond the watermark: sorted insert.
-  EXPECT_EQ(q.push(sid, arrival_at(2, 100)), Accept::kOk);
-  EXPECT_EQ(q.push(sid, arrival_at(1, 50)), Accept::kOk);
+  EXPECT_EQ(push_one(q, sid, arrival_at(2, 100)), Accept::kOk);
+  EXPECT_EQ(push_one(q, sid, arrival_at(1, 50)), Accept::kOk);
   EXPECT_EQ(q.blocking_peek(), 50);
   EXPECT_EQ(q.pop().coflow.id.value, 1);
   EXPECT_EQ(q.blocking_peek(), 100);
   EXPECT_EQ(q.pop().coflow.id.value, 2);
   EXPECT_EQ(q.watermark(), 100);
   // Released events fence later pushes.
-  EXPECT_EQ(q.push(sid, arrival_at(3, 60)), Accept::kOutOfOrder);
+  EXPECT_EQ(push_one(q, sid, arrival_at(3, 60)), Accept::kOutOfOrder);
   // Same-time arrival at the watermark with a non-greater id: tie order.
-  EXPECT_EQ(q.push(sid, arrival_at(2, 100)), Accept::kTieOrder);
-  EXPECT_EQ(q.push(sid, arrival_at(4, 100)), Accept::kOk);
-  EXPECT_EQ(q.push(sid, arrival_at(4, 200)), Accept::kDuplicateId);
+  EXPECT_EQ(push_one(q, sid, arrival_at(2, 100)), Accept::kTieOrder);
+  EXPECT_EQ(push_one(q, sid, arrival_at(4, 100)), Accept::kOk);
+  EXPECT_EQ(push_one(q, sid, arrival_at(4, 200)), Accept::kDuplicateId);
   // Malformed: destination port outside the fabric.
-  EXPECT_EQ(q.push(sid, WorkloadEvent::arrival(
+  EXPECT_EQ(push_one(q, sid, WorkloadEvent::arrival(
                             testing::make_coflow(9, 300, {{0, 99, 100}}))),
             Accept::kMalformed);
   q.finish_session(sid);
-  EXPECT_EQ(q.push(sid, arrival_at(10, 400)), Accept::kClosed);
+  EXPECT_EQ(push_one(q, sid, arrival_at(10, 400)), Accept::kClosed);
   EXPECT_EQ(q.blocking_peek(), 100);  // queued id=4 still releases
   (void)q.pop();
   EXPECT_EQ(q.blocking_peek(), kNever);  // drained
@@ -182,7 +219,7 @@ TEST(Ingress, ConcurrentProducersMergeDeterministically) {
       const auto sid = q.open_session("p" + std::to_string(p));
       for (int i = 0; i < kPerProducer; ++i) {
         const std::int64_t id = p + kProducers * i;
-        ASSERT_EQ(q.push(sid, arrival_at(id, 10 * id)), Accept::kOk);
+        ASSERT_EQ(push_one(q, sid, arrival_at(id, 10 * id)), Accept::kOk);
       }
       q.finish_session(sid);
     });
@@ -200,7 +237,7 @@ TEST(Ingress, ReactingSessionVetoesMergeUntilCurrentIdle) {
   IngressQueue q({/*num_ports=*/4, /*expected_clients=*/1});
   const auto sid = q.open_session("c");
   q.set_reactive(sid);
-  ASSERT_EQ(q.push(sid, arrival_at(0, 0)), Accept::kOk);
+  ASSERT_EQ(push_one(q, sid, arrival_at(0, 0)), Accept::kOk);
   EXPECT_EQ(q.blocking_peek(), 0);
   (void)q.pop();
   q.set_idle(sid, 0);
@@ -209,7 +246,7 @@ TEST(Ingress, ReactingSessionVetoesMergeUntilCurrentIdle) {
   // A routed DONE flips the session to reacting: even queued events must
   // not release until the client answers with a *current* IDLE.
   q.note_done(sid);
-  ASSERT_EQ(q.push(sid, arrival_at(1, 500)), Accept::kOk);
+  ASSERT_EQ(push_one(q, sid, arrival_at(1, 500)), Accept::kOk);
   std::atomic<bool> released{false};
   std::thread consumer([&q, &released] {
     EXPECT_EQ(q.blocking_peek(), 500);
@@ -229,11 +266,11 @@ TEST(Ingress, ReactingSessionVetoesMergeUntilCurrentIdle) {
 
 constexpr int kSvcPorts = 6;
 
-std::vector<WorkloadEvent> svc_events(int coflows) {
+std::vector<WorkloadEvent> svc_events(int coflows, SimTime gap = 50'000) {
   std::vector<WorkloadEvent> evs;
   evs.reserve(static_cast<std::size_t>(coflows));
   for (int i = 0; i < coflows; ++i) {
-    evs.push_back(arrival_at(i, 50'000 * i));
+    evs.push_back(arrival_at(i, gap * i));
     evs.back().coflow.flows = {{i % kSvcPorts, (i + 1) % kSvcPorts,
                                 100 + 10 * (i % 7)},
                                {(i + 2) % kSvcPorts, (i + 3) % kSvcPorts,
@@ -249,14 +286,19 @@ std::string socket_path(const char* tag) {
       .string();
 }
 
-SimResult offline_run(const std::string& sched, int coflows) {
-  auto src = std::make_shared<VectorSource>("svc-test", kSvcPorts,
-                                            svc_events(coflows));
+SimResult offline_run(const std::string& sched,
+                      std::vector<WorkloadEvent> events) {
+  auto src =
+      std::make_shared<VectorSource>("svc-test", kSvcPorts, std::move(events));
   auto scheduler = make_scheduler(sched);
   SimConfig cfg = testing::toy_config();
   apply_scheduler_sim_overrides(sched, cfg);
   Engine engine(src, *scheduler, cfg);
   return engine.run();
+}
+
+SimResult offline_run(const std::string& sched, int coflows) {
+  return offline_run(sched, svc_events(coflows));
 }
 
 DaemonConfig daemon_cfg(const std::string& tag, const std::string& sched,
@@ -268,6 +310,34 @@ DaemonConfig daemon_cfg(const std::string& tag, const std::string& sched,
   cfg.sim = testing::toy_config();
   cfg.expect_clients = expect_clients;
   return cfg;
+}
+
+std::string temp_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("saath_svc_test_" + tag + "_" + std::to_string(::getpid())))
+      .string();
+}
+
+/// Polls until `done()` holds; false after ~10 s.
+template <typename Pred>
+bool eventually(Pred done) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+bool has_stat(const ServiceDaemon& daemon, const std::string& key,
+              const std::string& value) {
+  return daemon.stats_text().find("STAT " + key + ' ' + value + '\n') !=
+         std::string::npos;
+}
+
+std::int64_t count_lines(const std::string& path) {
+  std::ifstream in(path);
+  return std::count(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>(), '\n');
 }
 
 TEST(ServiceEndToEnd, DigestMatchesOfflineAcrossSchedulers) {
@@ -434,6 +504,202 @@ TEST(ServiceEndToEnd, TornJournalRestartReproducesDigest) {
     EXPECT_GT(client.report().rejects_seen, 0);  // re-driven prefix fenced
   }
   std::filesystem::remove(journal);
+}
+
+TEST(ServiceEndToEnd, CheckpointResumeMatchesOffline) {
+  // Arrivals 0.4 s apart: CoFlows complete while the script is still
+  // arriving, so the checkpoint taken mid-run holds completion records.
+  constexpr int kCoflows = 24;
+  constexpr int kCut = 12;
+  constexpr SimTime kGap = 400'000;
+  const auto all = svc_events(kCoflows, kGap);
+  const SimResult reference = offline_run("saath", all);
+  const std::string journal = temp_path("ckpt_journal");
+  const std::string ckpt = temp_path("ckpt");
+  const std::string crash_journal = journal + ".crash";
+  const std::string crash_ckpt = ckpt + ".crash";
+  {
+    // First life: journaled and checkpointing. The client sends the first
+    // kCut events and stays connected, so the engine pulls them all and
+    // then blocks waiting for more. From then on neither file changes
+    // until more input arrives; copies taken now are what a kill leaves.
+    auto cfg = daemon_cfg("ckpt1", "saath", 1);
+    cfg.journal_path = journal;
+    cfg.checkpoint_path = ckpt;
+    cfg.checkpoint_every_epochs = 3;
+    ServiceDaemon daemon(cfg);
+    daemon.start();
+    ClientOptions co{daemon.address()};
+    co.wait_end = false;
+    ServiceClient client(co);
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource head("svc-test", kSvcPorts, {all.begin(), all.begin() + kCut});
+    ASSERT_TRUE(client.drive(head));
+    ASSERT_TRUE(eventually([&] { return count_lines(journal) == 2 + kCut; }));
+    ASSERT_TRUE(std::filesystem::exists(ckpt));
+    std::filesystem::copy_file(
+        journal, crash_journal,
+        std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::copy_file(
+        ckpt, crash_ckpt, std::filesystem::copy_options::overwrite_existing);
+  }  // the client leaves without FIN; the daemon drains into the originals
+  {
+    std::ifstream in(crash_ckpt, std::ios::binary);
+    const EngineSnapshot snap = replay::load_checkpoint(in);
+    EXPECT_FALSE(snap.completed.empty())
+        << "the checkpoint must carry the completions before it";
+  }
+  {
+    // Second life: checkpoint plus journal suffix, then the re-driven
+    // script. The digest covers the records from before the checkpoint.
+    auto cfg = daemon_cfg("ckpt2", "saath", 1);
+    cfg.journal_path = crash_journal;
+    cfg.checkpoint_path = crash_ckpt;
+    cfg.checkpoint_every_epochs = 3;
+    cfg.resume = true;
+    ServiceDaemon daemon(cfg);
+    daemon.start();
+    ServiceClient client(ClientOptions{daemon.address()});
+    ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+    VectorSource full("svc-test", kSvcPorts, all);
+    ASSERT_TRUE(client.drive(full)) << client.report().error;
+    ASSERT_TRUE(client.finish()) << client.report().error;
+    const ServiceReport rep = daemon.wait();
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.digest_hex, replay::result_digest_hex(reference));
+    EXPECT_EQ(client.report().digest_hex, rep.digest_hex);
+    // Every CoFlow is answered: a DONE replayed from the checkpoint's
+    // records, or streamed by the resumed engine.
+    EXPECT_EQ(client.report().dones, kCoflows);
+  }
+  for (const std::string& f : {journal, ckpt, ckpt + ".tmp", crash_journal,
+                               crash_ckpt, crash_ckpt + ".tmp"}) {
+    std::filesystem::remove(f);
+  }
+}
+
+TEST(ServiceEndToEnd, BatchVerdictsKeepFrameOrder) {
+  const auto all = svc_events(12);
+  const SimResult offline = offline_run("saath", all);
+  ServiceDaemon daemon(daemon_cfg("batch", "saath", 1));
+  daemon.start();
+  ServiceClient client(ClientOptions{daemon.address()});
+  ASSERT_TRUE(client.connect("svc-test", kSvcPorts));
+  VectorSource head("svc-test", kSvcPorts, {all.begin(), all.begin() + 3});
+  ASSERT_TRUE(client.drive(head));
+  // Released events set the watermark (t = 100000) an early event trips.
+  ASSERT_TRUE(eventually(
+      [&daemon] { return has_stat(daemon, "ingest_released", "3"); }));
+  const auto line = [](const WorkloadEvent& ev) {
+    return replay::format_event_line(ev) + '\n';
+  };
+  const std::string batch =
+      line(all[3]) + line(arrival_at(1000, 10)) + line(all[3]) + "A 12\n" +
+      line(WorkloadEvent::arrival(
+          testing::make_coflow(1001, 160'000, {{0, 99, 100}}))) +
+      line(all[4]) + "G 1 x\n" + line(all[5]);
+  // One write: the frames reach the daemon in as few reads as the socket
+  // allows, and are admitted as batches.
+  ASSERT_TRUE(client.connection().send_all(batch.data(), batch.size()));
+  VectorSource tail("svc-test", kSvcPorts, {all.begin() + 6, all.end()});
+  ASSERT_TRUE(client.drive(tail)) << client.report().error;
+  ASSERT_TRUE(client.finish()) << client.report().error;
+  const std::vector<std::string> expected = {
+      "REJ out-of-order t=10 id=1000",
+      "REJ duplicate-id t=150000 id=3",
+      "REJ malformed-frame journal line 0: truncated record",
+      "REJ malformed t=160000 id=1001",
+      "REJ malformed-frame journal line 0: bad integer 'x'",
+  };
+  EXPECT_EQ(client.report().reject_lines, expected);
+  EXPECT_EQ(client.report().accepted, 12);
+  EXPECT_EQ(client.report().rejected, 5);
+  EXPECT_EQ(client.report().dones, 12);
+  const ServiceReport rep = daemon.wait();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.digest_hex, replay::result_digest_hex(offline));
+}
+
+TEST(ServiceEndToEnd, ReactiveDagClientMatchesOfflineWithCoalescedDones) {
+  workload::ScenarioSetup oracle = workload::make_scenario("pipeline-dag");
+  SimConfig cfg = oracle.config;
+  apply_scheduler_sim_overrides(oracle.default_scheduler, cfg);
+  auto sched = make_scheduler(oracle.default_scheduler);
+  Engine engine(oracle.source, *sched, cfg);
+  const SimResult offline = engine.run();
+
+  workload::ScenarioSetup live = workload::make_scenario("pipeline-dag");
+  DaemonConfig dc;
+  dc.address = "unix:" + socket_path("dag");
+  dc.num_ports = live.source->num_ports();
+  dc.scheduler = live.default_scheduler;
+  dc.sim = live.config;
+  dc.expect_clients = 1;
+  dc.workload_name = live.source->name();
+  ServiceDaemon daemon(dc);
+  daemon.start();
+  ClientOptions co{daemon.address()};
+  co.reactive = true;
+  ServiceClient client(co);
+  ASSERT_TRUE(client.connect(live.source->name(), live.source->num_ports()));
+  ASSERT_TRUE(client.drive(*live.source)) << client.report().error;
+  ASSERT_TRUE(client.finish()) << client.report().error;
+  const ServiceReport rep = daemon.wait();
+  ASSERT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.digest_hex, replay::result_digest_hex(offline));
+  EXPECT_EQ(client.report().dones,
+            static_cast<std::int64_t>(offline.coflows.size()));
+}
+
+TEST(ServiceEndToEnd, StatsPollingRacesRunTeardown) {
+  // STATS reads the engine's telemetry while the engine thread finishes
+  // the run and destroys the Engine; the reads must never outlive it.
+  ServiceDaemon daemon(daemon_cfg("stats_race", "saath", 1));
+  daemon.start();
+  std::atomic<bool> stop{false};
+  std::atomic<int> polls{0};
+  std::thread poller([&daemon, &stop, &polls] {
+    while (!stop.load()) {
+      if (daemon.stats_text().find("STAT ingest_events ") ==
+          std::string::npos) {
+        ADD_FAILURE() << "STATS block lost its counters";
+      }
+      ++polls;
+    }
+  });
+  // The STATS verb too, over a connection that never says HELLO (a
+  // session would hold the run open).
+  Connection stats_conn = dial(daemon.address());
+  std::atomic<bool> driven{false};
+  std::thread streamer([&daemon, &driven] {
+    ServiceClient client(ClientOptions{daemon.address()});
+    VectorSource src("svc-test", kSvcPorts, svc_events(6));
+    EXPECT_TRUE(client.connect("svc-test", kSvcPorts) && client.drive(src) &&
+                client.finish())
+        << client.report().error;
+    driven = true;
+  });
+  FrameReader framer;
+  char buf[4096];
+  bool open = true;
+  while (open && !driven.load()) {
+    open = stats_conn.send_line("STATS");
+    for (bool end = false; open && !end;) {
+      while (auto frame = framer.next_frame()) {
+        end = end || *frame == "ENDSTATS";
+      }
+      if (end) break;
+      const long r = stats_conn.recv_some(buf, sizeof buf);
+      open = r > 0 && framer.feed(buf, static_cast<std::size_t>(r));
+    }
+  }
+  EXPECT_TRUE(open);
+  streamer.join();
+  const ServiceReport rep = daemon.wait();
+  stop = true;
+  poller.join();
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_GT(polls.load(), 0);
 }
 
 }  // namespace
