@@ -12,8 +12,10 @@
 //    ISSUE 3 acceptance gate: order-phase ratio >= 5x at 500 CoFlows.
 //
 //  * end-to-end engine run: the FB-scale trace through both modes, with
-//    the quiescent-epoch skip on — epochs/sec plus how many rounds ran
-//    incrementally and how many admission ranks were replayed.
+//    the quiescent-epoch skip on — epochs/sec, how many rounds ran
+//    incrementally and how many admission ranks were replayed, plus the
+//    conserve phase per round and the unfinished flows its backfill
+//    considered (backfill_flows: a deterministic count, which CI caps).
 //
 // Both measurements verify the two modes produce identical rate streams /
 // SimResults; the numbers are meaningless otherwise (exit 2).
@@ -166,9 +168,11 @@ struct EngineMeasurement {
   double wall_ms = 0;
   double epochs_per_sec = 0;
   double order_us_per_round = 0;
+  double conserve_ns_per_round = 0;
   int epochs = 0;
   std::int64_t delta_rounds = 0;
   std::int64_t replayed_ranks = 0;
+  std::int64_t backfill_flows = 0;
   SimResult result;
 };
 
@@ -188,8 +192,11 @@ EngineMeasurement run_engine(const trace::Trace& trace, bool incremental) {
   const auto& st = sched.phase_stats();
   m.order_us_per_round =
       static_cast<double>(st.order_ns) / 1e3 / static_cast<double>(st.rounds);
+  m.conserve_ns_per_round =
+      static_cast<double>(st.conserve_ns) / static_cast<double>(st.rounds);
   m.delta_rounds = st.delta_rounds;
   m.replayed_ranks = st.replayed_ranks;
+  m.backfill_flows = st.backfill_flows;
   return m;
 }
 
@@ -272,6 +279,10 @@ int run(int argc, char** argv) {
               e_full.epochs_per_sec);
   std::printf("%-26s %14.2f %14.2f\n", "order us/round",
               e_inc.order_us_per_round, e_full.order_us_per_round);
+  std::printf("%-26s %14.0f %14.0f\n", "conserve ns/round",
+              e_inc.conserve_ns_per_round, e_full.conserve_ns_per_round);
+  std::printf("backfill flows considered: %lld\n",
+              static_cast<long long>(e_inc.backfill_flows));
   std::printf("end-to-end ratio: %.2fx   results identical: %s\n",
               end_to_end_ratio, engine_identical ? "yes" : "NO");
 
@@ -304,9 +315,12 @@ int run(int argc, char** argv) {
       "    \"coflows\": 526,\n"
       "    \"incremental\": {\"wall_ms\": %.3f, \"epochs\": %d, "
       "\"epochs_per_sec\": %.1f, \"order_us_per_round\": %.3f, "
-      "\"delta_rounds\": %lld, \"replayed_ranks\": %lld},\n"
+      "\"conserve_ns_per_round\": %.1f, "
+      "\"delta_rounds\": %lld, \"replayed_ranks\": %lld, "
+      "\"backfill_flows\": %lld},\n"
       "    \"full\": {\"wall_ms\": %.3f, \"epochs\": %d, "
-      "\"epochs_per_sec\": %.1f, \"order_us_per_round\": %.3f},\n"
+      "\"epochs_per_sec\": %.1f, \"order_us_per_round\": %.3f, "
+      "\"conserve_ns_per_round\": %.1f},\n"
       "    \"end_to_end_ratio\": %.2f\n"
       "  }\n"
       "}\n",
@@ -322,10 +336,12 @@ int run(int argc, char** argv) {
       full.admit_ns_per_round, full.conserve_ns_per_round, order_ratio,
       conserve_ratio, e_inc.wall_ms, e_inc.epochs,
       e_inc.epochs_per_sec, e_inc.order_us_per_round,
+      e_inc.conserve_ns_per_round,
       static_cast<long long>(e_inc.delta_rounds),
-      static_cast<long long>(e_inc.replayed_ranks), e_full.wall_ms,
+      static_cast<long long>(e_inc.replayed_ranks),
+      static_cast<long long>(e_inc.backfill_flows), e_full.wall_ms,
       e_full.epochs, e_full.epochs_per_sec, e_full.order_us_per_round,
-      end_to_end_ratio);
+      e_full.conserve_ns_per_round, end_to_end_ratio);
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
   return identical ? 0 : 2;

@@ -199,6 +199,26 @@ void add_load(std::vector<PortLoad>& loads, PortIndex port) {
   return order;
 }
 
+/// Removes flow `idx` from the ascending live run
+/// slot_flows[begin, begin + len) by shifting the shorter side over the
+/// gap: the tail left, or the head right (advancing `begin`). Completions
+/// that arrive in index order — same-instant completions pop that way —
+/// hit the head and shift nothing.
+void unlist(std::vector<std::uint32_t>& slot_flows, std::uint32_t& begin,
+            int len, std::uint32_t idx) {
+  const auto first =
+      slot_flows.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto last = first + len;
+  const auto at = std::lower_bound(first, last, idx);
+  SAATH_EXPECTS(at != last && *at == idx);
+  if (at - first < last - at - 1) {
+    std::move_backward(first, at, at + 1);
+    ++begin;
+  } else {
+    std::move(at + 1, last, at);
+  }
+}
+
 }  // namespace
 
 int CoflowState::find_slot(const std::vector<PortLoad>& loads,
@@ -226,28 +246,29 @@ CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
   }
   sender_order_ = sorted_slots(senders_);
   receiver_order_ = sorted_slots(receivers_);
-  // Group flow indices by port slot (CSR): counting pass, prefix sum, fill
-  // in flow order — which leaves every per-slot list ascending, the order
-  // the backfill's merged walk depends on.
+  // Group flow indices by port slot (CSR) with no scratch: count each
+  // slot, turn the counts into inclusive prefix sums (slot ends), then fill
+  // walking the flows backwards, decrementing the end — which leaves
+  // slot_begin[s] at the slot's start and every per-slot list ascending,
+  // the order the backfill's merged walk depends on.
   const auto build_csr = [this](const std::vector<PortLoad>& loads,
                                 const std::vector<std::uint32_t>& order,
                                 std::vector<std::uint32_t>& slot_flows,
                                 std::vector<std::uint32_t>& slot_begin,
                                 const bool senders) {
-    slot_begin.assign(loads.size() + 1, 0);
-    for (const auto& f : flows_) {
-      const int s = find_slot(loads, order, senders ? f.src() : f.dst());
-      ++slot_begin[static_cast<std::size_t>(s) + 1];
-    }
+    const auto slot_of = [&](const FlowState& f) {
+      return static_cast<std::size_t>(
+          find_slot(loads, order, senders ? f.src() : f.dst()));
+    };
+    slot_begin.assign(loads.size(), 0);
+    for (const auto& f : flows_) ++slot_begin[slot_of(f)];
     for (std::size_t s = 1; s < slot_begin.size(); ++s) {
       slot_begin[s] += slot_begin[s - 1];
     }
     slot_flows.resize(flows_.size());
-    std::vector<std::uint32_t> fill(loads.size(), 0);
-    for (std::uint32_t i = 0; i < flows_.size(); ++i) {
-      const auto s = static_cast<std::size_t>(find_slot(
-          loads, order, senders ? flows_[i].src() : flows_[i].dst()));
-      slot_flows[slot_begin[s] + fill[s]++] = i;
+    for (std::size_t i = flows_.size(); i-- > 0;) {
+      slot_flows[--slot_begin[slot_of(flows_[i])]] =
+          static_cast<std::uint32_t>(i);
     }
   };
   build_csr(senders_, sender_order_, sender_slot_flows_, sender_slot_begin_,
@@ -364,6 +385,11 @@ OccupancyDelta CoflowState::on_flow_complete(FlowState& flow, SimTime now) {
   auto& rload = receivers_[static_cast<std::size_t>(r)];
   SAATH_EXPECTS(sload.unfinished_flows > 0);
   SAATH_EXPECTS(rload.unfinished_flows > 0);
+  unlist(sender_slot_flows_, sender_slot_begin_[static_cast<std::size_t>(s)],
+         sload.unfinished_flows, flow.pool_index());
+  unlist(receiver_slot_flows_,
+         receiver_slot_begin_[static_cast<std::size_t>(r)],
+         rload.unfinished_flows, flow.pool_index());
   OccupancyDelta delta;
   delta.sender_freed = --sload.unfinished_flows == 0;
   delta.receiver_freed = --rload.unfinished_flows == 0;

@@ -247,24 +247,23 @@ class CoflowState {
     return find_slot(receivers_, receiver_order_, port);
   }
 
-  /// Indices into flows() of the flows sourced at sender_loads()[slot].port
-  /// (resp. sinked at receiver_loads()[slot].port), ascending. The
-  /// flow->port mapping is immutable, so the lists are built once at
-  /// construction; finished flows stay listed and callers skip them. This
-  /// is the per-port flow membership the work-conservation backfill joins
-  /// against residually-live ports — without it, reaching "the flows on
-  /// port p" means scanning every flow.
+  /// Indices into flows() of the *unfinished* flows sourced at
+  /// sender_loads()[slot].port (resp. sinked at receiver_loads()[slot].port),
+  /// ascending; the span's length is that slot's unfinished_flows. The lists
+  /// are built once at construction and compacted in place by
+  /// on_flow_complete, so a caller never meets a finished flow. This is the
+  /// per-port flow membership the work-conservation backfill joins against
+  /// residually-live ports — without it, reaching "the live flows on port
+  /// p" means scanning every flow, finished ones included.
   [[nodiscard]] std::span<const std::uint32_t> sender_slot_flows(
       std::size_t slot) const {
-    return std::span<const std::uint32_t>(sender_slot_flows_)
-        .subspan(sender_slot_begin_[slot],
-                 sender_slot_begin_[slot + 1] - sender_slot_begin_[slot]);
+    return {sender_slot_flows_.data() + sender_slot_begin_[slot],
+            static_cast<std::size_t>(senders_[slot].unfinished_flows)};
   }
   [[nodiscard]] std::span<const std::uint32_t> receiver_slot_flows(
       std::size_t slot) const {
-    return std::span<const std::uint32_t>(receiver_slot_flows_)
-        .subspan(receiver_slot_begin_[slot],
-                 receiver_slot_begin_[slot + 1] - receiver_slot_begin_[slot]);
+    return {receiver_slot_flows_.data() + receiver_slot_begin_[slot],
+            static_cast<std::size_t>(receivers_[slot].unfinished_flows)};
   }
 
   /// Bumped on every port-occupancy change (currently: each flow
@@ -398,7 +397,11 @@ class CoflowState {
   std::vector<std::uint32_t> sender_order_;
   std::vector<std::uint32_t> receiver_order_;
   /// CSR layout of flow indices grouped by sender / receiver slot (see
-  /// sender_slot_flows): begin_[s]..begin_[s+1] bound slot s's flows.
+  /// sender_slot_flows). Slot s owns the fixed region its flows were laid
+  /// out in; its live run starts at begin_[s] and is as long as the slot's
+  /// unfinished_flows. A completion closes the gap by shifting whichever
+  /// side of the run is shorter, so the run stays ascending and inside its
+  /// region with no allocation.
   std::vector<std::uint32_t> sender_slot_flows_;
   std::vector<std::uint32_t> sender_slot_begin_;
   std::vector<std::uint32_t> receiver_slot_flows_;

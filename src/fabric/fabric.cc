@@ -63,30 +63,6 @@ void Fabric::set_port_capacity_factor(PortIndex p, double factor) {
   capacity_factor_[static_cast<std::size_t>(p)] = factor;
 }
 
-Rate Fabric::send_capacity(PortIndex p) const {
-  check_port(p);
-  return port_bandwidth_ * capacity_factor_[static_cast<std::size_t>(p)];
-}
-
-Rate Fabric::recv_capacity(PortIndex p) const {
-  check_port(p);
-  return port_bandwidth_ * capacity_factor_[static_cast<std::size_t>(p)];
-}
-
-void Fabric::check_port(PortIndex p) const {
-  SAATH_EXPECTS(p >= 0 && p < num_ports_);
-}
-
-Rate Fabric::send_remaining(PortIndex p) const {
-  check_port(p);
-  return send_remaining_[static_cast<std::size_t>(p)];
-}
-
-Rate Fabric::recv_remaining(PortIndex p) const {
-  check_port(p);
-  return recv_remaining_[static_cast<std::size_t>(p)];
-}
-
 bool Fabric::available(PortIndex src, PortIndex dst, Rate eps) const {
   return send_remaining(src) > eps && recv_remaining(dst) > eps;
 }

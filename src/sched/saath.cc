@@ -507,36 +507,33 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
             // the epsilon (budgets only shrink during the walk), so gather
             // the more-drained side's live-slot flow lists — filtering the
             // other endpoint on the way — and merge them back into
-            // ascending flow order, the dense loop's visit order. A first
-            // O(slots) pass sizes both sides; the gather's per-flow cost
-            // is a small multiple of the plain walk's, so it only pays off
-            // when at most a quarter of the flows survive the side filter
-            // — shallow cuts (uncontended rounds) keep the plain walk.
+            // ascending flow order, the dense loop's visit order. The slot
+            // lists hold only unfinished flows, so a first O(slots) pass
+            // sizes both sides off the unfinished counts. The gather's
+            // per-flow cost is a small multiple of the plain walk's, which
+            // visits every listed flow, finished ones included: the gather
+            // wins once at most a quarter of that survives the side filter
+            // — shallow cuts of mostly-unfinished CoFlows keep the plain
+            // walk.
             const auto send_loads = c->sender_loads();
             const auto recv_loads = c->receiver_loads();
-            const std::size_t listed = c->flows().size();
             std::size_t live_src_flows = 0;
             std::size_t live_dst_flows = 0;
-            for (std::size_t s = 0; s < send_loads.size(); ++s) {
-              if (send_loads[s].unfinished_flows > 0 &&
-                  fabric.send_is_live(send_loads[s].port)) {
-                live_src_flows += c->sender_slot_flows(s).size();
+            for (const PortLoad& l : send_loads) {
+              if (fabric.send_is_live(l.port)) {
+                live_src_flows += static_cast<std::size_t>(l.unfinished_flows);
               }
             }
-            for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-              if (recv_loads[s].unfinished_flows > 0 &&
-                  fabric.recv_is_live(recv_loads[s].port)) {
-                live_dst_flows += c->receiver_slot_flows(s).size();
+            for (const PortLoad& l : recv_loads) {
+              if (fabric.recv_is_live(l.port)) {
+                live_dst_flows += static_cast<std::size_t>(l.unfinished_flows);
               }
             }
-            if (std::min(live_src_flows, live_dst_flows) * 4 <= listed) {
+            if (std::min(live_src_flows, live_dst_flows) * 4 <= pool.size()) {
               backfill_flow_idx_.clear();
               if (live_src_flows <= live_dst_flows) {
                 for (std::size_t s = 0; s < send_loads.size(); ++s) {
-                  if (send_loads[s].unfinished_flows == 0 ||
-                      !fabric.send_is_live(send_loads[s].port)) {
-                    continue;
-                  }
+                  if (!fabric.send_is_live(send_loads[s].port)) continue;
                   for (const std::uint32_t i : c->sender_slot_flows(s)) {
                     if (fabric.recv_is_live(pool.dst[i])) {
                       backfill_flow_idx_.push_back(i);
@@ -545,10 +542,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
                 }
               } else {
                 for (std::size_t s = 0; s < recv_loads.size(); ++s) {
-                  if (recv_loads[s].unfinished_flows == 0 ||
-                      !fabric.recv_is_live(recv_loads[s].port)) {
-                    continue;
-                  }
+                  if (!fabric.recv_is_live(recv_loads[s].port)) continue;
                   for (const std::uint32_t i : c->receiver_slot_flows(s)) {
                     if (fabric.send_is_live(pool.src[i])) {
                       backfill_flow_idx_.push_back(i);
@@ -564,7 +558,9 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
               }
               continue;
             }
-            stats_.backfill_flows += static_cast<std::int64_t>(listed);
+            // The plain walk's finished visits exit on the first check;
+            // only the unfinished ones are candidates.
+            stats_.backfill_flows += c->unfinished_flows();
           }
           const auto n = static_cast<std::uint32_t>(pool.size());
           for (std::uint32_t i = 0; i < n; ++i) try_alloc(c, pool, i);
@@ -589,16 +585,17 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve_sharded(
   // Byte-identity argument. (1) Budgets only shrink during the walk, so
   // epoch-start liveness over-approximates liveness at any flow's turn:
   // the gathered candidate set is a superset of every flow the serial walk
-  // allocates to, and the merge's recheck (finished / r <= epsilon skips —
-  // identical to the serial try_alloc) drops exactly the surplus. (2) Each
-  // flow lives on exactly one sender port, owned by exactly one shard, so
-  // the k-way merge over sorted per-shard buffers visits candidates in
-  // strictly ascending (rank, flow) order with no duplicates — the serial
-  // walk's visit order for both its gather-cut and plain-walk regimes
-  // (ranks ascend; flows within a CoFlow ascend after its sort). (3) The
-  // serial walk's per-CoFlow early break fires when a residual side
-  // empties, a condition under which NO later flow can clear the epsilon;
-  // checking it at rank transitions stops at the same allocation.
+  // allocates to (slot lists hold only unfinished flows), and the merge's
+  // r <= epsilon recheck — identical to the serial try_alloc — drops
+  // exactly the surplus. (2) Each flow lives on exactly one sender port,
+  // owned by exactly one shard, so the k-way merge over sorted per-shard
+  // buffers visits candidates in strictly ascending (rank, flow) order
+  // with no duplicates — the serial walk's visit order for both its
+  // gather-cut and plain-walk regimes (ranks ascend; flows within a CoFlow
+  // ascend after its sort). (3) The serial walk's per-CoFlow early break
+  // fires when a residual side empties, a condition under which NO later
+  // flow can clear the epsilon; checking it at rank transitions stops at
+  // the same allocation.
   ++stats_.backfill_rounds;
   ++stats_.sharded_rounds;
   stats_.backfill_missed += static_cast<std::int64_t>(missed.size());
@@ -675,7 +672,6 @@ SAATH_HOT_NOALLOC void SaathScheduler::conserve_sharded(
     const FlowPool& pool = c->pool();
     const auto i = static_cast<std::uint32_t>(best_v & 0xFFFFFFFFull);
     ++stats_.backfill_flows;
-    if (pool.finished[i]) continue;
     const Rate r = std::min(fabric.send_remaining(pool.src[i]),
                             fabric.recv_remaining(pool.dst[i]));
     if (r <= Fabric::kRateEpsilon) continue;

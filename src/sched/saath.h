@@ -116,8 +116,10 @@ struct SaathPhaseStats {
   std::int64_t backfill_rounds = 0;
   std::int64_t backfill_candidates = 0;
   std::int64_t backfill_missed = 0;
-  /// Flow visits the indexed walk actually performed (the dense loop would
-  /// have visited every unfinished flow of every missed CoFlow).
+  /// Unfinished flows the indexed walk considered: the gathered both-live
+  /// flows, or every unfinished flow of a CoFlow that took the plain walk
+  /// (the dense loop considers every unfinished flow of every missed
+  /// CoFlow). Finished flows are never counted.
   std::int64_t backfill_flows = 0;
   std::int64_t conserve_replays = 0;
   /// Backfill rounds that ran the sharded (pool) gather instead of the

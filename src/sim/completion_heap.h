@@ -7,6 +7,17 @@
 // and harvesting a batch is O(log F) per event instead of a scan over every
 // flow of every active CoFlow.
 //
+// Stale events that never surface (a flow re-rated every epoch while its
+// finish stays far off — Aalo's steady state) would otherwise pile up
+// without bound, so the heap also sheds them wholesale: once it has
+// doubled since its last compaction, one erase_if(stale) + make_heap
+// pass. Each pass is paid for by the pushes that doubled the heap, so
+// the cost stays amortized O(1) per push and the heap stays O(live).
+// Dropping a stale event early is as safe as prune() dropping it at the
+// top: the only path that revives an old rate version (FlowState's
+// zero-then-restore) runs at one instant inside one scheduling round,
+// and the heap is never flushed inside a round.
+//
 // Pushes are *batched*: an epoch's touched events collect in a pending
 // buffer and are folded into the heap at the next query — one O(n)
 // make_heap rebuild when the batch is large relative to the heap, N sifts
@@ -75,18 +86,24 @@ class CompletionHeap {
   void clear() {
     heap_.clear();
     pending_.clear();
+    compacted_size_ = 0;
   }
 
   /// Removes every event whose owning CoFlow satisfies `dying` (pointer
-  /// identity only — nothing of a dying CoFlow is dereferenced). The
-  /// engine's streaming reclamation calls this right before destroying
-  /// finished CoflowStates, so no stale event can later dereference a freed
-  /// flow in prune()/the comparator. O(n) filter + rebuild.
+  /// identity only — nothing of a dying CoFlow is dereferenced), and every
+  /// stale event of the survivors on the same pass. The engine's streaming
+  /// reclamation calls this right before destroying finished CoflowStates,
+  /// so no stale event can later dereference a freed flow in prune()/the
+  /// comparator. O(n) filter + rebuild.
   template <typename Pred>
   void purge_coflows(Pred&& dying) {
-    std::erase_if(heap_, [&](const Event& ev) { return dying(ev.coflow); });
-    std::erase_if(pending_, [&](const Event& ev) { return dying(ev.coflow); });
+    const auto drop = [&](const Event& ev) {
+      return dying(ev.coflow) || stale(ev);
+    };
+    std::erase_if(heap_, drop);
+    std::erase_if(pending_, drop);
     std::make_heap(heap_.begin(), heap_.end(), Later{});
+    compacted_size_ = heap_.size();
   }
 
  private:
@@ -111,11 +128,19 @@ class CompletionHeap {
 
   /// Folds the pending batch in: one make_heap rebuild when the batch is
   /// at least an eighth of the combined size (O(n) beats k·O(log n)
-  /// there), per-event sifts for small trickles.
+  /// there) or the heap is due for compaction (the rebuild then drops
+  /// every stale event on the way), per-event sifts for small trickles.
   SAATH_HOT_NOALLOC void flush() {
     if (pending_.empty()) return;
-    if (pending_.size() * 8 >= heap_.size() + pending_.size()) {
+    const std::size_t combined = heap_.size() + pending_.size();
+    const bool compact =
+        combined >= 2 * std::max(compacted_size_, kMinCompactSize);
+    if (compact || pending_.size() * 8 >= combined) {
       heap_.insert(heap_.end(), pending_.begin(), pending_.end());
+      if (compact) {
+        std::erase_if(heap_, stale);
+        compacted_size_ = heap_.size();
+      }
       std::make_heap(heap_.begin(), heap_.end(), Later{});
     } else {
       for (const Event& ev : pending_) {
@@ -138,6 +163,11 @@ class CompletionHeap {
   /// allocation in steady state).
   std::vector<Event> heap_;
   std::vector<Event> pending_;
+  /// heap_.size() right after the last compaction (or purge); flush()
+  /// compacts again once the heap has doubled past it. The floor keeps
+  /// small heaps from compacting on every flush.
+  static constexpr std::size_t kMinCompactSize = 64;
+  std::size_t compacted_size_ = 0;
 };
 
 }  // namespace saath

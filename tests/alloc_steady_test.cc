@@ -146,6 +146,30 @@ TEST(AllocSteady, CompletionHeapPushAndPruneRecycleCapacity) {
   EXPECT_EQ(delta, 0u);
 }
 
+TEST(AllocSteady, CompletionHeapCompactionRecyclesCapacity) {
+  // A bystander's event holds the top while one flow is re-rated again and
+  // again: its stale events never surface, so only compaction (erase_if +
+  // make_heap on the heap's own storage) sheds them. Warm-up runs several
+  // compaction cycles; the measured ones must not allocate.
+  CoflowState c(make_coflow(0, 0, {{0, 1, 1000000000000}, {1, 0, 1000}}),
+                FlowId{0});
+  CompletionHeap heap;
+  CoflowState* const cp = &c;
+  cp->flows()[1].set_rate(100.0, 0);
+  heap.push(&cp->flows()[1], cp);
+  FlowState& f = cp->flows()[0];
+
+  const std::uint64_t delta = measure_steady_allocs([&](int e) {
+    for (int k = 0; k < 4; ++k) {
+      f.set_rate(1000.0 + 4 * e + k, usec(4 * e + k));
+      heap.push(&f, cp);
+      (void)heap.next_time();
+    }
+  });
+  EXPECT_EQ(delta, 0u);
+  EXPECT_LE(heap.size(), 128u);
+}
+
 TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
   CoflowState c0(make_coflow(0, 0, {{0, 1, 1000000000000}}), FlowId{0});
   CoflowState c1(make_coflow(1, 0, {{1, 2, 1000000000000}}), FlowId{1});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "coflow/coflow.h"
 #include "coflow/job.h"
@@ -158,6 +159,82 @@ TEST(CoflowState, PortLoadLookupOnWideCoflow) {
   EXPECT_EQ(c.unfinished_on_sender(0), 0);
   EXPECT_EQ(c.unfinished_on_sender(99), 0);
   EXPECT_EQ(c.unfinished_on_receiver(1), 0);
+}
+
+/// Every sender/receiver slot list must equal the ascending unfinished
+/// flows on that slot's port, and be exactly unfinished_flows long.
+void expect_slot_lists_live(const CoflowState& c) {
+  const auto flows = c.flows();
+  for (int side = 0; side < 2; ++side) {
+    const auto loads = side == 0 ? c.sender_loads() : c.receiver_loads();
+    for (std::size_t s = 0; s < loads.size(); ++s) {
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t i = 0; i < flows.size(); ++i) {
+        const PortIndex p = side == 0 ? flows[i].src() : flows[i].dst();
+        if (p == loads[s].port && !flows[i].finished()) want.push_back(i);
+      }
+      const auto got =
+          side == 0 ? c.sender_slot_flows(s) : c.receiver_slot_flows(s);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << (side == 0 ? "sender" : "receiver") << " port " << loads[s].port;
+      EXPECT_EQ(got.size(),
+                static_cast<std::size_t>(loads[s].unfinished_flows));
+    }
+  }
+}
+
+/// A 6x5 mesh with a few extra flows so slots differ in length and the
+/// flow order interleaves ports.
+CoflowSpec mesh_spec() {
+  CoflowSpec spec;
+  spec.id = CoflowId{3};
+  for (PortIndex m = 0; m < 6; ++m) {
+    for (PortIndex r = 0; r < 5; ++r) {
+      spec.flows.push_back({static_cast<PortIndex>((m + 2 * r) % 6),
+                            static_cast<PortIndex>(10 + (r + m) % 5), 10});
+    }
+  }
+  spec.flows.push_back({2, 12, 10});
+  spec.flows.push_back({2, 10, 10});
+  spec.flows.push_back({5, 14, 10});
+  return spec;
+}
+
+TEST(CoflowState, SlotListsHoldExactlyTheUnfinishedFlows) {
+  // Completion orders that hit the head, the tail and the middle of the
+  // slot runs: ascending, descending and a fixed shuffle.
+  const auto spec = mesh_spec();
+  const std::size_t n = spec.flows.size();
+  std::vector<std::vector<std::size_t>> orders(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    orders[0].push_back(i);
+    orders[1].push_back(n - 1 - i);
+    orders[2].push_back((i * 13 + 5) % n);  // 13 is coprime with 33
+  }
+  for (const auto& order : orders) {
+    CoflowState c(spec, FlowId{0});
+    expect_slot_lists_live(c);
+    SimTime t = 0;
+    for (const std::size_t i : order) {
+      c.on_flow_complete(c.flows()[i], t += msec(1));
+      expect_slot_lists_live(c);
+    }
+    EXPECT_TRUE(c.finished());
+  }
+}
+
+TEST(CoflowState, RestoreFinishedCompactsSlotLists) {
+  // Checkpoint restore routes finished flows through the completion
+  // bookkeeping: the lists come out exactly as if the flows had finished
+  // live, whatever order the restore visits them in.
+  const auto spec = mesh_spec();
+  CoflowState c(spec, FlowId{0});
+  for (std::size_t i = spec.flows.size(); i-- > 0;) {
+    if (i % 3 == 1) continue;
+    c.restore_flow_finished(i, msec(5));
+    expect_slot_lists_live(c);
+  }
+  EXPECT_EQ(c.unfinished_flows(), 11);
 }
 
 TEST(JobSpec, ValidateRejectsForwardDeps) {

@@ -4,6 +4,9 @@
 // oracle (`SimConfig::event_driven = false`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sched/factory.h"
@@ -132,6 +135,42 @@ TEST(CompletionHeap, PopDueHarvestsBatchInTimeOrder) {
   EXPECT_EQ(seen[0], seconds(1));
   EXPECT_EQ(seen[1], seconds(2));
   EXPECT_EQ(heap.next_time(), seconds(9));
+}
+
+TEST(CompletionHeap, ShedsStaleEventsUnderRepeatedReRates) {
+  // One flow re-rated 10k times. Its events finish far beyond the two
+  // bystanders' (10 s and 20 s), so a stale one never reaches the top and
+  // prune() alone would keep all 10k. Compaction must keep the heap
+  // bounded, and the valid pops must still come out in time order.
+  CoflowState c(
+      make_coflow(0, 0, {{0, 1, 1'000'000'000}, {2, 3, 1000}, {4, 5, 2000}}),
+      FlowId{0});
+  CompletionHeap heap;
+  for (std::size_t i = 1; i < 3; ++i) {
+    c.flows()[i].set_rate(100.0, 0);
+    heap.push(&c.flows()[i], &c);
+  }
+  FlowState& f = c.flows()[0];
+  std::size_t peak = 0;
+  for (int k = 0; k < 10'000; ++k) {
+    f.set_rate(1000.0 + k, usec(k));
+    ASSERT_TRUE(heap.push(&f, &c));
+    ASSERT_EQ(heap.next_time(), seconds(10));
+    peak = std::max(peak, heap.size());
+  }
+  EXPECT_LE(peak, 128u);
+  const SimTime f_finish = f.predicted_finish();
+  ASSERT_GT(f_finish, seconds(20));
+  std::vector<std::pair<SimTime, std::int64_t>> popped;
+  heap.pop_due(std::numeric_limits<SimTime>::max() / 2,
+               [&](CoflowState& owner, FlowState& fl) {
+                 popped.emplace_back(fl.predicted_finish(), fl.id().value);
+                 owner.on_flow_complete(fl, fl.predicted_finish());
+               });
+  const std::vector<std::pair<SimTime, std::int64_t>> want = {
+      {seconds(10), 1}, {seconds(20), 2}, {f_finish, 0}};
+  EXPECT_EQ(popped, want);
+  EXPECT_TRUE(heap.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "fabric/fabric.h"
+#include "parallel/thread_pool.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -355,6 +356,157 @@ TEST(Saath, IndexedBackfillEngagesAndMatchesDenseOnDeltaRounds) {
   // Rounds with no churn at all replay the recorded conservation stream.
   EXPECT_GT(indexed_stats.conserve_replays, 0);
   EXPECT_EQ(dense_stats.conserve_replays, 0);
+}
+
+/// A CoFlow spec over the full mesh senders x receivers, flow order
+/// sender-major.
+CoflowSpec mesh(std::int64_t id, SimTime arrival,
+                std::initializer_list<PortIndex> senders,
+                std::initializer_list<PortIndex> receivers) {
+  CoflowSpec spec;
+  spec.id = CoflowId{id};
+  spec.arrival = arrival;
+  for (const PortIndex s : senders) {
+    for (const PortIndex r : receivers) {
+      spec.flows.push_back({s, r, 1'000'000'000});
+    }
+  }
+  return spec;
+}
+
+/// Completes flow `i` of `c` at `now` the engine way (rates, state, hook).
+void complete_flow(SaathScheduler& sched, RateAssignment& rates,
+                   CoflowState& c, std::size_t i, SimTime now) {
+  FlowState& f = c.flows()[i];
+  rates.flow_stopped(f);
+  c.on_flow_complete(f, now);
+  sched.on_flow_complete(c, f, now);
+}
+
+TEST(Saath, BackfillFlowsNeverCountsFinishedFlows) {
+  // A one-flow hog drains sender 0 and receiver 0; the wide CoFlow behind
+  // it holds a flow on sender 0, so it misses admission and lives off the
+  // backfill. Half its flows are already finished: the plain walk steps
+  // over them, the gather never sees them, and neither may count them.
+  // Two cuts: ten unfinished flows (shallow: plain walk) and two (deep:
+  // gather of the single both-live flow).
+  for (const int keep : {10, 2}) {
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 0, 1'000'000'000}}));
+    CoflowSpec wide;
+    wide.id = CoflowId{1};
+    wide.arrival = usec(1);
+    wide.flows.push_back({0, 1, 1'000'000'000});
+    for (PortIndex p = 1; p < 20; ++p) {
+      wide.flows.push_back({p, static_cast<PortIndex>(p + 1), 1'000'000'000});
+    }
+    set.add(wide);
+    SaathScheduler sched;
+    RateAssignment rates(21);
+    for (CoflowState* c : set.active()) sched.on_coflow_arrival(*c, 0);
+    CoflowState& w = set.at(1);
+    for (std::size_t i = static_cast<std::size_t>(keep); i < w.flows().size();
+         ++i) {
+      complete_flow(sched, rates, w, i, 0);
+    }
+    Fabric fabric(21, 1000.0);
+    SchedulerDelta delta;  // a precise stream: the indexed (prime) path
+    delta.full = false;
+    delta.stream_id = 79001;
+    rates.begin_epoch(usec(2));
+    sched.schedule(usec(2), set.active(), fabric, rates, delta);
+    const auto& st = sched.phase_stats();
+    ASSERT_EQ(st.backfill_candidates, 1) << "keep " << keep;
+    EXPECT_EQ(st.backfill_flows, keep == 10 ? 10 : 1) << "keep " << keep;
+    EXPECT_LE(st.backfill_flows, w.unfinished_flows());
+    // The hog took its ports whole; every other unfinished flow got a
+    // full port's worth of leftovers.
+    EXPECT_EQ(w.flows()[0].rate(), 0.0);
+    for (std::size_t i = 1; i < static_cast<std::size_t>(keep); ++i) {
+      EXPECT_EQ(w.flows()[i].rate(), 1000.0) << "flow " << i;
+    }
+  }
+}
+
+TEST(Saath, BackfillMatchesDenseAndShardedWithFinishedFlows) {
+  // Many finished flows and half-drained ports, in both gate regimes:
+  // CoFlow 2 keeps four of 36 flows (the gather), CoFlow 3 keeps all 36
+  // (the plain walk), CoFlow 4 half (plain, stepping over finished
+  // flows). One-flow hogs drain ports 0 and 1 so the wide CoFlows miss.
+  // Between rounds one flow completes, picked from the middle of its
+  // CoFlow's unfinished set so slot lists compact on both sides. The
+  // dense oracle, the indexed serial walk and the sharded gather must
+  // assign byte-identical rates every round.
+  parallel::ThreadPool pool(2);
+  enum class Mode { kDense, kIndexed, kSharded };
+  const auto drive = [&pool](Mode mode, SaathPhaseStats* stats_out) {
+    testing::StateSet set;
+    set.add(make_coflow(0, 0, {{0, 0, 1'000'000'000}}));
+    set.add(make_coflow(1, usec(1), {{1, 1, 1'000'000'000}}));
+    set.add(mesh(2, usec(2), {0, 2, 3, 4, 5, 6}, {0, 7, 8, 9, 10, 11}));
+    set.add(mesh(3, usec(3), {1, 2, 7, 8, 12, 13}, {1, 3, 4, 12, 13, 14}));
+    set.add(mesh(4, usec(4), {0, 9, 10, 11, 14, 15}, {2, 5, 6, 15, 8, 9}));
+    set.add(mesh(5, usec(5), {3, 4, 5}, {10, 11, 12}));
+    set.add(mesh(6, usec(6), {6, 13}, {14, 15}));
+    SaathConfig cfg;
+    cfg.incremental_backfill = mode != Mode::kDense;
+    SaathScheduler sched(cfg);
+    if (mode == Mode::kSharded) sched.set_parallelism(&pool, 2);
+    Fabric fabric(16, 1000.0);
+    RateAssignment rates(16);
+    for (CoflowState* c : set.active()) sched.on_coflow_arrival(*c, 0);
+    for (std::size_t i = 0; i < 36; ++i) {
+      if (i % 9 != 4) complete_flow(sched, rates, set.at(2), i, 0);
+      if (i % 2 == 1) complete_flow(sched, rates, set.at(4), i, 0);
+    }
+    SchedulerDelta delta;
+    delta.full = false;
+    delta.stream_id = 78001 + static_cast<std::uint64_t>(mode);
+    std::vector<Rate> out;
+    for (int round = 0; round < 60; ++round) {
+      const SimTime now = msec(8) * (round + 1);
+      fabric.reset();
+      rates.begin_epoch(now);
+      sched.schedule(now, set.active(), fabric, rates, delta);
+      delta.clear_marks();
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        for (const auto& f : set.at(i).flows()) out.push_back(f.rate());
+      }
+      CoflowState& c = set.at(2 + static_cast<std::size_t>(round) % 5);
+      if (c.unfinished_flows() < 2) continue;
+      // The middle unfinished flow.
+      int skip = c.unfinished_flows() / 2;
+      for (std::size_t i = 0; i < c.flows().size(); ++i) {
+        if (c.flows()[i].finished() || skip-- > 0) continue;
+        complete_flow(sched, rates, c, i, now);
+        delta.mark_requeue(&c);
+        break;
+      }
+    }
+    *stats_out = sched.phase_stats();
+    sched.set_parallelism(nullptr, 0);
+    return out;
+  };
+
+  SaathPhaseStats dense_stats;
+  SaathPhaseStats indexed_stats;
+  SaathPhaseStats sharded_stats;
+  const auto dense = drive(Mode::kDense, &dense_stats);
+  const auto indexed = drive(Mode::kIndexed, &indexed_stats);
+  const auto sharded = drive(Mode::kSharded, &sharded_stats);
+  ASSERT_EQ(indexed.size(), dense.size());
+  ASSERT_EQ(sharded.size(), dense.size());
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    ASSERT_EQ(indexed[i], dense[i]) << "indexed, rate stream index " << i;
+    ASSERT_EQ(sharded[i], dense[i]) << "sharded, rate stream index " << i;
+  }
+  EXPECT_EQ(dense_stats.backfill_rounds, 0);
+  EXPECT_GT(indexed_stats.backfill_candidates, 0);
+  EXPECT_EQ(indexed_stats.sharded_rounds, 0);
+  EXPECT_GT(sharded_stats.sharded_rounds, 0);
+  // Both indexed walks consider the same unfinished candidates at most.
+  EXPECT_GT(indexed_stats.backfill_flows, 0);
+  EXPECT_GT(sharded_stats.backfill_flows, 0);
 }
 
 TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
