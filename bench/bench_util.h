@@ -8,10 +8,13 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "analysis/metrics.h"
@@ -20,6 +23,49 @@
 #include "trace/synth.h"
 
 namespace saath::bench {
+
+/// One `--name VALUE` flag a bench accepts, for check_flags' usage line.
+struct FlagSpec {
+  std::string_view name;     // "--coflows"
+  std::string_view metavar;  // "N"
+};
+
+/// Rejects a bad command line before a bench measures or writes anything.
+/// Benches take `--name VALUE` pairs only: an unknown name, a name with no
+/// value, or --help/-h prints the usage line to stderr and exits 2, so a
+/// typo (or a reflexive --help) never runs the whole benchmark and
+/// overwrites the committed BENCH_*.json. Call it first thing in main().
+inline void check_flags(int argc, char** argv,
+                        std::initializer_list<FlagSpec> flags) {
+  const auto fail = [&](std::string_view why, std::string_view arg) {
+    if (!why.empty()) {
+      std::string line(why);
+      line += " '";
+      line += arg;
+      line += '\'';
+      std::fprintf(stderr, "%s\n", line.c_str());
+    }
+    std::string usage = "usage: ";
+    usage += std::filesystem::path(argv[0]).filename().string();
+    for (const FlagSpec& f : flags) {
+      usage += " [";
+      usage += f.name;
+      usage += ' ';
+      usage += f.metavar;
+      usage += ']';
+    }
+    std::fprintf(stderr, "%s\n", usage.c_str());
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; i += 2) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") fail({}, arg);
+    bool known = false;
+    for (const FlagSpec& f : flags) known = known || arg == f.name;
+    if (!known) fail("unknown flag", arg);
+    if (i + 1 >= argc) fail("missing value for", arg);
+  }
+}
 
 /// Resolves a bare BENCH_*.json filename to the repo root — the nearest
 /// ancestor of the current directory holding both ROADMAP.md and

@@ -114,6 +114,7 @@ double bench_maxmin(const trace::Trace& trace, int* out_flows) {
 }
 
 int run(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--coflows", "N"}, {"--out", "FILE"}});
   int coflows = 526;
   std::string out = "BENCH_engine_core.json";
   for (int i = 1; i + 1 < argc; i += 2) {

@@ -73,6 +73,9 @@ Timed run_once(MakeSource&& make_source, const SimConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(
+      argc, argv,
+      {{"--coflows", "N"}, {"--out", "FILE"}, {"--journal", "FILE"}});
   std::int64_t coflows = 30'000;
   std::string out_path = "BENCH_replay.json";
   std::string journal_path = "BENCH_replay.journal";

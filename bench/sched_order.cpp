@@ -201,6 +201,8 @@ EngineMeasurement run_engine(const trace::Trace& trace, bool incremental) {
 }
 
 int run(int argc, char** argv) {
+  bench::check_flags(
+      argc, argv, {{"--coflows", "N"}, {"--rounds", "N"}, {"--out", "FILE"}});
   int coflows = 500;
   int rounds = 2000;
   std::string out = "BENCH_sched_order.json";

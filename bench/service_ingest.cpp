@@ -128,6 +128,7 @@ ServiceRun run_service(int events) {
 }
 
 int run(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--events", "N"}, {"--out", "FILE"}});
   int events = 120'000;
   std::string out = "BENCH_service.json";
   for (int i = 1; i + 1 < argc; i += 2) {

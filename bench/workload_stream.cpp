@@ -64,6 +64,7 @@ workload::SynthStreamConfig stream_config(std::int64_t coflows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {{"--coflows", "N"}, {"--out", "FILE"}});
   std::int64_t coflows = 1'000'000;
   std::string out_path = "BENCH_workload.json";
   for (int i = 1; i < argc - 1; ++i) {

@@ -20,10 +20,9 @@
 //    CoflowState's lifetime.
 //  - Index identity: slot i of every array describes flows()[i], which is
 //    also what the CSR sender/receiver slot lists index.
-//  - Shard ownership: a pool belongs to exactly one CoflowState and is
-//    only ever written by the shard that owns that CoFlow; each array
-//    starts on its own 64-byte boundary so cross-pool false sharing is
-//    impossible (see parallel::AlignedBuffer).
+//  - One allocation: a pool belongs to exactly one CoflowState and lives
+//    in a single cache-aligned block, each array starting on its own
+//    64-byte boundary (see parallel::AlignedBuffer).
 #pragma once
 
 #include <algorithm>

@@ -3,12 +3,8 @@
 // AlignedBuffer is the allocation substrate under coflow::FlowPool: one
 // ::operator new block aligned to the cache line, carved into parallel
 // arrays that each start on their own 64-byte boundary. Keeping the whole
-// pool in a single allocation (instead of one vector per array) matters
-// for the sharded engine: a CoflowState — and therefore its pool — is
-// owned by exactly one shard, so one aligned block per CoFlow means no
-// two shards ever write the same cache line through different pools (see
-// ShardArena in thread_pool.h for the same rule applied to per-shard
-// scratch).
+// pool in a single allocation (instead of one vector per array) costs one
+// allocation per CoFlow and keeps every lane walk cache-line aligned.
 #pragma once
 
 #include <cstddef>

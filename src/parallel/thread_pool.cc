@@ -1,6 +1,5 @@
 #include "parallel/thread_pool.h"
 
-#include <chrono>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -8,18 +7,6 @@
 #include "common/expect.h"
 
 namespace saath::parallel {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] std::int64_t ns_since(Clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                              start)
-      .count();
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(int workers) : workers_(workers) {
   SAATH_EXPECTS(workers >= 1);
@@ -38,20 +25,15 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-int ThreadPool::drain_job() {
-  int ran = 0;
+void ThreadPool::drain_job() {
   for (;;) {
     const int shard = next_shard_.fetch_add(1, std::memory_order_relaxed);
     if (shard >= job_shards_) break;
-    ShardOutcome& out = outcomes_[static_cast<std::size_t>(shard)];
-    const auto start = Clock::now();
     try {
       (*job_fn_)(shard);
     } catch (...) {
-      out.error = std::current_exception();
+      errors_[static_cast<std::size_t>(shard)] = std::current_exception();
     }
-    out.busy_ns = ns_since(start);
-    ++ran;
     if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         job_shards_) {
       // The caller may already be waiting; the lock pairs the notify with
@@ -60,7 +42,6 @@ int ThreadPool::drain_job() {
       job_done_.notify_all();
     }
   }
-  return ran;
 }
 
 void ThreadPool::worker_loop() {
@@ -90,34 +71,31 @@ void ThreadPool::parallel_for_shards(int shards,
   SAATH_EXPECTS(fn != nullptr);
   if (shards == 0) return;
   SAATH_EXPECTS(!in_flight_);  // no nesting: one barrier at a time
-  // A worker from the previous job may still be mid-claim (one failed
-  // fetch_add past its barrier); publishing new job state under it would
-  // be a race. This drains in a handful of instructions.
-  while (draining_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
-  }
-
-  if (static_cast<std::size_t>(shards) > outcomes_.size()) {
-    outcomes_.resize(static_cast<std::size_t>(shards));
-  }
-  for (int s = 0; s < shards; ++s) {
-    outcomes_[static_cast<std::size_t>(s)] = ShardOutcome{};
-  }
-
-  in_flight_ = true;
-  {
+  for (;;) {
+    // A worker woken for an earlier job may still be inside drain_job()
+    // (one failed claim on the cursor, or the final notify); publishing
+    // new job state under it would be a race. Workers enter drain_job()
+    // only under mutex_, so draining_ == 0 read under the lock means none
+    // is inside and none can enter before the new state is published.
+    // The check must not wait while holding the lock: the worker that
+    // completes the last shard takes mutex_ to notify.
+    while (draining_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
+    std::lock_guard lock(mutex_);
+    if (draining_.load(std::memory_order_acquire) != 0) continue;
     // Job state is published under the mutex: a worker consumes the
     // generation bump under the same mutex, so every job-state read in
-    // its drain_job() happens-after this publish. Stale wakeups from an
-    // older notify either re-wait (generation unchanged) or drain with
-    // draining_ held, which the spin above waits out.
-    std::lock_guard lock(mutex_);
+    // its drain_job() happens-after this publish.
+    errors_.assign(static_cast<std::size_t>(shards), nullptr);
     job_fn_ = &fn;
     job_shards_ = shards;
     next_shard_.store(0, std::memory_order_relaxed);
     completed_.store(0, std::memory_order_relaxed);
     ++generation_;
+    break;
   }
+  in_flight_ = true;
   job_ready_.notify_all();
 
   // The calling thread is the pool's last executor.
@@ -131,16 +109,9 @@ void ThreadPool::parallel_for_shards(int shards,
   job_fn_ = nullptr;
   in_flight_ = false;
 
-  if (shard_busy_ns_.size() < static_cast<std::size_t>(shards)) {
-    shard_busy_ns_.resize(static_cast<std::size_t>(shards), 0);
+  for (const std::exception_ptr& error : errors_) {
+    if (error) std::rethrow_exception(error);
   }
-  std::exception_ptr first_error;
-  for (int s = 0; s < shards; ++s) {
-    const ShardOutcome& out = outcomes_[static_cast<std::size_t>(s)];
-    shard_busy_ns_[static_cast<std::size_t>(s)] += out.busy_ns;
-    if (!first_error && out.error) first_error = out.error;
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace saath::parallel

@@ -80,7 +80,6 @@ void write_config(std::string& line, const SimConfig& c) {
   append_token(line, std::to_string(static_cast<int>(c.event_driven)));
   append_token(line, std::to_string(static_cast<int>(c.record_results)));
   append_token(line, std::to_string(c.max_sim_time));
-  append_token(line, std::to_string(c.parallel_shards));
   append_token(line, std::to_string(c.max_stall_epochs));
   append_token(line, std::to_string(c.max_requeue_attempts));
   append_token(line, std::to_string(static_cast<int>(c.strict_input)));
@@ -96,10 +95,18 @@ void write_config(std::string& line, const SimConfig& c) {
   c.event_driven = take_int(cur, line_no) != 0;
   c.record_results = take_int(cur, line_no) != 0;
   c.max_sim_time = take_int(cur, line_no);
-  c.parallel_shards = static_cast<int>(take_int(cur, line_no));
   c.max_stall_epochs = static_cast<int>(take_int(cur, line_no));
   c.max_requeue_attempts = static_cast<int>(take_int(cur, line_no));
   c.strict_input = take_int(cur, line_no) != 0;
+  // A leftover token means a different layout, not extra data: a 12-value
+  // line from before the <shards> field was dropped would otherwise shift
+  // stall/requeue/strict one field over without a word.
+  if (const std::string_view extra = cur.next(); !extra.empty()) {
+    std::string what = "config record has more than 11 values (extra '";
+    what += extra;
+    what += "'; a 12-value C line predates the removal of the <shards> field)";
+    bad_line(line_no, what);
+  }
   return c;
 }
 

@@ -311,6 +311,15 @@ ScenarioSetup make_scenario(std::string_view name,
   return setup;
 }
 
+void apply_run_params(const ScenarioParams& params, SimConfig& cfg) {
+  if (params.get_int("records", 1) == 0) cfg.record_results = false;
+  cfg.max_stall_epochs = static_cast<int>(
+      params.get_int("stall_epochs", cfg.max_stall_epochs));
+  cfg.max_requeue_attempts = static_cast<int>(
+      params.get_int("requeue", cfg.max_requeue_attempts));
+  if (params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
+}
+
 ScenarioRunResult run_scenario(std::string_view name,
                                const ScenarioParams& params,
                                std::string_view scheduler, ResultSink* sink) {
@@ -321,17 +330,7 @@ ScenarioRunResult run_scenario(std::string_view name,
   auto sched = make_scheduler(sched_name);
   SimConfig cfg = setup.config;
   apply_scheduler_sim_overrides(sched_name, cfg);
-  if (params.get_int("records", 1) == 0) cfg.record_results = false;
-  // Intra-epoch parallelism knob (SimConfig::parallel_shards): purely a
-  // wall-clock lever, results are byte-identical for any value.
-  cfg.parallel_shards = static_cast<int>(
-      params.get_int("shards", cfg.parallel_shards));
-  // Robustness knobs (quarantine + tolerant input), valid for any scenario.
-  cfg.max_stall_epochs = static_cast<int>(
-      params.get_int("stall_epochs", cfg.max_stall_epochs));
-  cfg.max_requeue_attempts = static_cast<int>(
-      params.get_int("requeue", cfg.max_requeue_attempts));
-  if (params.get_int("strict_input", 1) == 0) cfg.strict_input = false;
+  apply_run_params(params, cfg);
   // Every override must have been read by now; an unread key is a typo or
   // a knob the scenario does not have — fail loudly either way.
   if (const auto unknown = params.unconsumed(); !unknown.empty()) {

@@ -93,6 +93,13 @@ void register_scenario(std::string name, std::string description,
 [[nodiscard]] ScenarioSetup make_scenario(std::string_view name,
                                           const ScenarioParams& params = {});
 
+/// Applies the run-level params every scenario accepts to `cfg`:
+/// records=0 (stream completions, materialize no per-CoFlow records),
+/// stall_epochs and requeue (quarantine), strict_input=0 (tolerant input).
+/// Every driver that turns params into a SimConfig goes through here, so
+/// the same --set line yields the same config (and digest) everywhere.
+void apply_run_params(const ScenarioParams& params, SimConfig& cfg);
+
 /// Outcome of a driver run: the (possibly record-free) SimResult plus the
 /// engine telemetry the driver and CI gates report.
 struct ScenarioRunResult {

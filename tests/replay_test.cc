@@ -157,7 +157,7 @@ TEST(RecordReplay, MalformedJournalThrowsNamingTheLine) {
 
   std::istringstream truncated(
       "SAATHJ1 4 1 test\n"
-      "C 0x1p30 8000 0 1 1 1 1 500000000000 0 0 3 1\n"
+      "C 0x1p30 8000 0 1 1 1 1 500000000000 0 3 1\n"
       "A 0 0 -1\n");
   replay::ReplaySource rs(truncated);
   try {
@@ -166,6 +166,23 @@ TEST(RecordReplay, MalformedJournalThrowsNamingTheLine) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(RecordReplay, ConfigLineWithAnExtraValueIsRejectedAtLine2) {
+  // The 12-value layout that still carried <shards> before <stall>: read
+  // as 11 values it would shift stall/requeue/strict one field over.
+  std::istringstream old_layout(
+      "SAATHJ1 4 1 test\n"
+      "C 0x1p30 8000 0 1 1 1 1 500000000000 0 5 3 1\n"
+      "A 0 0 -1 0 0 0 1 0 1 100\n");
+  try {
+    replay::ReplaySource rs(old_layout);
+    FAIL() << "a 12-value C line should throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("more than 11 values"), std::string::npos) << what;
   }
 }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "fabric/fabric.h"
-#include "parallel/thread_pool.h"
 #include "sched/saath.h"
 #include "sim/engine.h"
 #include "test_util.h"
@@ -428,18 +427,17 @@ TEST(Saath, BackfillFlowsNeverCountsFinishedFlows) {
   }
 }
 
-TEST(Saath, BackfillMatchesDenseAndShardedWithFinishedFlows) {
+TEST(Saath, BackfillMatchesDenseWithFinishedFlows) {
   // Many finished flows and half-drained ports, in both gate regimes:
   // CoFlow 2 keeps four of 36 flows (the gather), CoFlow 3 keeps all 36
   // (the plain walk), CoFlow 4 half (plain, stepping over finished
   // flows). One-flow hogs drain ports 0 and 1 so the wide CoFlows miss.
   // Between rounds one flow completes, picked from the middle of its
   // CoFlow's unfinished set so slot lists compact on both sides. The
-  // dense oracle, the indexed serial walk and the sharded gather must
-  // assign byte-identical rates every round.
-  parallel::ThreadPool pool(2);
-  enum class Mode { kDense, kIndexed, kSharded };
-  const auto drive = [&pool](Mode mode, SaathPhaseStats* stats_out) {
+  // dense oracle and the indexed walk must assign byte-identical rates
+  // every round.
+  enum class Mode { kDense, kIndexed };
+  const auto drive = [](Mode mode, SaathPhaseStats* stats_out) {
     testing::StateSet set;
     set.add(make_coflow(0, 0, {{0, 0, 1'000'000'000}}));
     set.add(make_coflow(1, usec(1), {{1, 1, 1'000'000'000}}));
@@ -451,7 +449,6 @@ TEST(Saath, BackfillMatchesDenseAndShardedWithFinishedFlows) {
     SaathConfig cfg;
     cfg.incremental_backfill = mode != Mode::kDense;
     SaathScheduler sched(cfg);
-    if (mode == Mode::kSharded) sched.set_parallelism(&pool, 2);
     Fabric fabric(16, 1000.0);
     RateAssignment rates(16);
     for (CoflowState* c : set.active()) sched.on_coflow_arrival(*c, 0);
@@ -484,29 +481,20 @@ TEST(Saath, BackfillMatchesDenseAndShardedWithFinishedFlows) {
       }
     }
     *stats_out = sched.phase_stats();
-    sched.set_parallelism(nullptr, 0);
     return out;
   };
 
   SaathPhaseStats dense_stats;
   SaathPhaseStats indexed_stats;
-  SaathPhaseStats sharded_stats;
   const auto dense = drive(Mode::kDense, &dense_stats);
   const auto indexed = drive(Mode::kIndexed, &indexed_stats);
-  const auto sharded = drive(Mode::kSharded, &sharded_stats);
   ASSERT_EQ(indexed.size(), dense.size());
-  ASSERT_EQ(sharded.size(), dense.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
-    ASSERT_EQ(indexed[i], dense[i]) << "indexed, rate stream index " << i;
-    ASSERT_EQ(sharded[i], dense[i]) << "sharded, rate stream index " << i;
+    ASSERT_EQ(indexed[i], dense[i]) << "rate stream index " << i;
   }
   EXPECT_EQ(dense_stats.backfill_rounds, 0);
   EXPECT_GT(indexed_stats.backfill_candidates, 0);
-  EXPECT_EQ(indexed_stats.sharded_rounds, 0);
-  EXPECT_GT(sharded_stats.sharded_rounds, 0);
-  // Both indexed walks consider the same unfinished candidates at most.
   EXPECT_GT(indexed_stats.backfill_flows, 0);
-  EXPECT_GT(sharded_stats.backfill_flows, 0);
 }
 
 TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {

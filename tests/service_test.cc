@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "replay/checkpoint.h"
@@ -216,7 +217,11 @@ TEST(Ingress, ConcurrentProducersMergeDeterministically) {
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
-      const auto sid = q.open_session("p" + std::to_string(p));
+      // Appended, not `"p" + std::to_string(p)`: GCC 12's -Wrestrict
+      // misfires on that operator+ at -O3 (GCC bug 105329).
+      std::string name = "p";
+      name += std::to_string(p);
+      const auto sid = q.open_session(std::move(name));
       for (int i = 0; i < kPerProducer; ++i) {
         const std::int64_t id = p + kProducers * i;
         ASSERT_EQ(push_one(q, sid, arrival_at(id, 10 * id)), Accept::kOk);

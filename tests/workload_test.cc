@@ -882,6 +882,38 @@ TEST(ScenarioParams, RunScenarioRejectsUnconsumedKeys) {
   }
 }
 
+TEST(ScenarioParams, ShardsIsNoLongerARunParam) {
+  // `shards` is not a run param: `--set shards=4` must fail loudly rather
+  // than be silently ignored.
+  workload::ScenarioParams params;
+  params.set("coflows", "20");
+  params.set("shards", "4");
+  try {
+    (void)workload::run_scenario("fb-replay", params);
+    FAIL() << "shards should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "does not understand parameter(s): shards"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioParams, ApplyRunParamsReadsEveryRunKnob) {
+  workload::ScenarioParams params;
+  params.set("records", "0");
+  params.set("stall_epochs", "7");
+  params.set("requeue", "2");
+  params.set("strict_input", "0");
+  SimConfig cfg;
+  workload::apply_run_params(params, cfg);
+  EXPECT_FALSE(cfg.record_results);
+  EXPECT_EQ(cfg.max_stall_epochs, 7);
+  EXPECT_EQ(cfg.max_requeue_attempts, 2);
+  EXPECT_FALSE(cfg.strict_input);
+  EXPECT_TRUE(params.unconsumed().empty());
+}
+
 TEST(ScenarioParams, UniversalKeysPassEverywhere) {
   // CI matrices pass seed/ports/coflows/jobs to every scenario; a scenario
   // reading none of them must not reject the set.
