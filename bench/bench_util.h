@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <initializer_list>
 #include <iostream>
@@ -16,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <thread>
 
 #include "analysis/metrics.h"
 #include "analysis/table.h"
@@ -103,6 +105,49 @@ inline trace::Trace fb_trace() { return trace::synth_fb_trace(); }
 
 /// OSP-like trace (100 ports / 1000 CoFlows, busier).
 inline trace::Trace osp_trace() { return trace::synth_osp_trace(); }
+
+/// Machine fingerprint for a BENCH_*.json baseline, as one JSON object:
+/// cores, CPU model, compiler, build type and the C++ flags of the bench
+/// build (SAATH_BENCH_BUILD_TYPE / SAATH_BENCH_CXX_FLAGS come from
+/// CMakeLists.txt), so a recorded number names the machine and build it
+/// came from.
+inline std::string fingerprint_json() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      if (const char* colon = std::strchr(line, ':')) {
+        cpu = colon + 1;
+        cpu.erase(0, cpu.find_first_not_of(' '));
+        cpu.erase(cpu.find_last_not_of(" \n") + 1);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  const auto quoted = [](std::string_view v) {
+    std::string out = "\"";
+    for (const char ch : v) {
+      if (ch == '"' || ch == '\\') out += '\\';
+      out += ch;
+    }
+    out += '"';
+    return out;
+  };
+  std::string json = "{\"cores\": ";
+  json += std::to_string(std::thread::hardware_concurrency());
+  json += ", \"cpu_model\": ";
+  json += quoted(cpu);
+  json += ", \"compiler\": ";
+  json += quoted(__VERSION__);
+  json += ", \"build_type\": ";
+  json += quoted(SAATH_BENCH_BUILD_TYPE);
+  json += ", \"cxx_flags\": ";
+  json += quoted(SAATH_BENCH_CXX_FLAGS);
+  json += "}";
+  return json;
+}
 
 inline void print_header(const std::string& title, const std::string& paper) {
   std::printf("\n================================================================\n");

@@ -5,11 +5,17 @@
 // aggregate (count, makespan, CCT bits). The digests must match at every
 // job count or the timing is meaningless (exit 2).
 //
+// One discarded warm-up campaign runs first (the first campaign after the
+// host sat idle read under a third of the steady ratio), then three
+// jobs=1 / jobs=N pairs alternate; the ratio is median over median and
+// every sample lands in the JSON.
+//
 // The speedup ratio is only meaningful with enough cores; the JSON carries
 // `cores` so the CI gate can scale its thresholds (the digest check is
 // unconditional).
 //
 //   $ ./parallel_epochs [--cells K] [--jobs N] [--out BENCH_parallel.json]
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -85,14 +91,40 @@ int run(int argc, char** argv) {
     cell.params.set("records", "0");
     campaign.push_back(std::move(cell));
   }
-  const CampaignRun camp_serial = run_cells(campaign, 1);
-  const CampaignRun camp_jobs = run_cells(campaign, jobs);
-  const bool campaign_match = camp_serial.digest == camp_jobs.digest;
+  constexpr int kSamples = 3;
+  const std::uint64_t digest = run_cells(campaign, jobs).digest;  // warm-up
+  bool campaign_match = true;
+  std::vector<double> serial_ms;
+  std::vector<double> parallel_ms;
+  for (int i = 0; i < kSamples; ++i) {
+    const CampaignRun serial = run_cells(campaign, 1);
+    const CampaignRun parallel = run_cells(campaign, jobs);
+    campaign_match = campaign_match && serial.digest == digest &&
+                     parallel.digest == digest;
+    serial_ms.push_back(serial.wall_ms);
+    parallel_ms.push_back(parallel.wall_ms);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double serial_median = median(serial_ms);
+  const double parallel_median = median(parallel_ms);
   const double campaign_ratio =
-      camp_jobs.wall_ms > 0 ? camp_serial.wall_ms / camp_jobs.wall_ms : 0;
-  std::printf("campaign: %d cells, jobs=1 %.1f ms, jobs=%d %.1f ms — ratio "
-              "%.2fx, digests %s\n",
-              cells, camp_serial.wall_ms, jobs, camp_jobs.wall_ms,
+      parallel_median > 0 ? serial_median / parallel_median : 0;
+  const auto samples_json = [](const std::vector<double>& v) {
+    std::string json = "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%s%.3f", i ? ", " : "", v[i]);
+      json += buf;
+    }
+    json += "]";
+    return json;
+  };
+  std::printf("campaign: %d cells, median of %d: jobs=1 %.1f ms, jobs=%d "
+              "%.1f ms — ratio %.2fx, digests %s\n",
+              cells, kSamples, serial_median, jobs, parallel_median,
               campaign_ratio, campaign_match ? "identical" : "DIVERGED");
   std::printf("cores: %d (the ratio needs >= %d cores to mean anything)\n",
               cores, jobs);
@@ -108,10 +140,14 @@ int run(int argc, char** argv) {
                "  \"cores\": %d,\n"
                "  \"jobs\": %d,\n"
                "  \"campaign\": {\"cells\": %d, \"serial_ms\": %.3f, "
-               "\"parallel_ms\": %.3f, \"ratio\": %.3f, \"digest_match\": %s}\n"
+               "\"parallel_ms\": %.3f, \"ratio\": %.3f, \"digest_match\": %s,\n"
+               "               \"serial_samples_ms\": %s,\n"
+               "               \"parallel_samples_ms\": %s}\n"
                "}\n",
-               cores, jobs, cells, camp_serial.wall_ms, camp_jobs.wall_ms,
-               campaign_ratio, campaign_match ? "true" : "false");
+               cores, jobs, cells, serial_median, parallel_median,
+               campaign_ratio, campaign_match ? "true" : "false",
+               samples_json(serial_ms).c_str(),
+               samples_json(parallel_ms).c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
   return campaign_match ? 0 : 2;

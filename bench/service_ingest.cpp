@@ -177,6 +177,7 @@ int run(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"service_ingest\",\n"
+               "  \"fingerprint\": %s,\n"
                "  \"cores\": %u,\n"
                "  \"digest_events\": %d,\n"
                "  \"digest_offline\": \"%s\",\n"
@@ -190,7 +191,8 @@ int run(int argc, char** argv) {
                "  \"throughput_gate_applied\": %s,\n"
                "  \"gate_pass\": %s\n"
                "}\n",
-               cores, kDigestEvents, offline.c_str(),
+               bench::fingerprint_json().c_str(), cores, kDigestEvents,
+               offline.c_str(),
                check.report.digest_hex.c_str(), digest_ok ? "true" : "false",
                static_cast<long long>(perf.sent), perf.drive_sec, rate,
                perf.wait_p50_us, perf.wait_p99_us,

@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n"
+      << "  \"fingerprint\": " << bench::fingerprint_json() << ",\n"
       << "  \"coflows\": " << coflows << ",\n"
       << "  \"completed\": " << agg.count() << ",\n"
       << "  \"complete\": " << (complete ? "true" : "false") << ",\n"

@@ -8,14 +8,89 @@
 
 #include "common/expect.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SAATH_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SAATH_ASAN 1
+#endif
+#endif
+#ifdef SAATH_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace saath {
 
 namespace {
 
-/// See CoflowState::global_occupancy_epoch(). Bumped on construction and on
-/// every flow completion — the two events that can change any consumer-
-/// visible occupancy state.
+/// See CoflowState::global_occupancy_epoch(). Bumped on construction, on
+/// reset and on every flow completion — the events that can change any
+/// consumer-visible occupancy state.
 std::atomic<std::uint64_t> g_occupancy_epoch{0};
+
+/// Port -> slot lookup for CoflowState::build: slot[p] is meaningful only
+/// while stamp[p] equals the current pass's stamp, so every pass starts
+/// clean in O(1). Per thread: campaign cells build states concurrently.
+struct PortSlotScratch {
+  std::vector<std::uint64_t> stamp;
+  std::vector<std::uint32_t> slot;
+  std::uint64_t current = 0;
+};
+
+thread_local PortSlotScratch t_port_slots;
+
+/// The scratch, grown to cover ports [0, max_port] (growth only happens
+/// the first time a thread sees a port that high).
+PortSlotScratch& port_slot_scratch(PortIndex max_port) {
+  PortSlotScratch& scratch = t_port_slots;
+  const auto need = static_cast<std::size_t>(max_port) + 1;
+  if (scratch.stamp.size() < need) {
+    scratch.stamp.resize(need, 0);
+    scratch.slot.resize(need, 0);
+  }
+  return scratch;
+}
+
+/// Builds one side's port slots (first-appearance order, unfinished-flow
+/// counts), their sorted-by-port index, and the CSR grouping of flow
+/// indices by slot from the endpoint lane `ports`. The slot counts are the
+/// CSR counts, so turning them into inclusive prefix sums (slot ends) and
+/// filling walking the flows backwards, decrementing the end, leaves
+/// slot_begin[s] at the slot's start and every per-slot list ascending —
+/// the order the backfill's merged walk depends on.
+void index_ports(PortSlotScratch& scratch, const PortIndex* ports,
+                 std::size_t n, std::vector<PortLoad>& loads,
+                 std::vector<std::uint32_t>& order,
+                 std::vector<std::uint32_t>& slot_flows,
+                 std::vector<std::uint32_t>& slot_begin) {
+  const std::uint64_t stamp = ++scratch.current;
+  loads.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto p = static_cast<std::size_t>(ports[i]);
+    if (scratch.stamp[p] != stamp) {
+      scratch.stamp[p] = stamp;
+      scratch.slot[p] = static_cast<std::uint32_t>(loads.size());
+      loads.push_back({ports[i], 0});
+    }
+    ++loads[scratch.slot[p]].unfinished_flows;
+  }
+  order.resize(loads.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return loads[a].port < loads[b].port;
+  });
+  slot_begin.resize(loads.size());
+  std::uint32_t end = 0;
+  for (std::size_t s = 0; s < loads.size(); ++s) {
+    end += static_cast<std::uint32_t>(loads[s].unfinished_flows);
+    slot_begin[s] = end;
+  }
+  slot_flows.resize(n);
+  for (std::size_t i = n; i-- > 0;) {
+    slot_flows[--slot_begin[scratch.slot[static_cast<std::size_t>(ports[i])]]] =
+        static_cast<std::uint32_t>(i);
+  }
+}
 
 }  // namespace
 
@@ -177,28 +252,6 @@ void FlowState::sync_version(std::uint64_t old_version,
 
 namespace {
 
-void add_load(std::vector<PortLoad>& loads, PortIndex port) {
-  for (auto& l : loads) {
-    if (l.port == port) {
-      ++l.unfinished_flows;
-      return;
-    }
-  }
-  loads.push_back({port, 1});
-}
-
-/// Sorted-by-port view over `loads`, built once at construction (a CoFlow's
-/// port set never grows).
-[[nodiscard]] std::vector<std::uint32_t> sorted_slots(
-    const std::vector<PortLoad>& loads) {
-  std::vector<std::uint32_t> order(loads.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return loads[a].port < loads[b].port;
-  });
-  return order;
-}
-
 /// Removes flow `idx` from the ascending live run
 /// slot_flows[begin, begin + len) by shifting the shorter side over the
 /// gap: the tail left, or the head right (advancing `begin`). Completions
@@ -231,52 +284,103 @@ int CoflowState::find_slot(const std::vector<PortLoad>& loads,
   return static_cast<int>(*it);
 }
 
-CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id)
+CoflowState::CoflowState(CoflowSpec spec, FlowId first_flow_id,
+                         std::size_t capacity)
     : spec_(std::move(spec)) {
   SAATH_EXPECTS(!spec_.flows.empty());
-  pool_.allocate(spec_.flows.size());
-  flows_.reserve(spec_.flows.size());
+  const std::size_t cap = std::max(capacity, spec_.flows.size());
+  pool_.allocate(cap);
+  flows_.reserve(cap);
+  // Only a state meant for reuse sizes everything for its capacity: a
+  // one-life state keeps its per-port vectors at their natural size
+  // (record_results runs retain every state to the end).
+  if (capacity > 0) reserve_for_reuse(cap);
+  build(first_flow_id);
+}
+
+void CoflowState::reserve_for_reuse(std::size_t cap) {
+  senders_.reserve(cap);
+  receivers_.reserve(cap);
+  sender_order_.reserve(cap);
+  receiver_order_.reserve(cap);
+  sender_slot_flows_.reserve(cap);
+  sender_slot_begin_.reserve(cap);
+  receiver_slot_flows_.reserve(cap);
+  receiver_slot_begin_.reserve(cap);
+  finished_lengths_.reserve(cap);
+}
+
+SAATH_HOT_NOALLOC void CoflowState::reset(CoflowSpec spec,
+                                          FlowId first_flow_id) {
+  SAATH_EXPECTS(!spec.flows.empty());
+  SAATH_EXPECTS(spec.flows.size() <= pool_.capacity());
+  spec_ = std::move(spec);
+  // Annotations back to their declared defaults.
+  queue_index = 0;
+  queue_entered_at = 0;
+  deadline = kNever;
+  dynamics_flagged = false;
+  stall_rounds = 0;
+  requeue_attempts = 0;
+  data_available = true;
+  candidate_round = 0;
+  finished_lengths_.clear();
+  median_for_count_ = 0;
+  median_cache_ = 0;
+  finish_time_ = kNever;
+  rated_flows_ = 0;
+  total_sent_cache_ = {};
+  max_sent_cache_ = {};
+  // The versions continue past the previous life's final values: replay
+  // fences recorded against that life (keyed by this address) must never
+  // match the new one.
+  ++occupancy_version_;
+  ++trajectory_version_;
+  ++progress_version_;
+  reserve_for_reuse(pool_.capacity());  // no-op once sized
+  build(first_flow_id);
+}
+
+SAATH_HOT_NOALLOC void CoflowState::build(FlowId first_flow_id) {
+  const std::size_t n = spec_.flows.size();
+  pool_.reset(n);
+  flows_.clear();
   std::int64_t next = first_flow_id.value;
-  std::uint32_t slot = 0;
-  for (const auto& fs : spec_.flows) {
-    flows_.emplace_back(FlowId{next++}, fs, spec_.arrival, &pool_, slot++);
+  PortIndex max_port = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const FlowSpec& fs = spec_.flows[i];
+    flows_.emplace_back(FlowId{next++}, fs, spec_.arrival, &pool_,
+                        static_cast<std::uint32_t>(i));
     flows_.back().owner_ = this;
-    add_load(senders_, fs.src);
-    add_load(receivers_, fs.dst);
+    max_port = std::max({max_port, fs.src, fs.dst});
   }
-  sender_order_ = sorted_slots(senders_);
-  receiver_order_ = sorted_slots(receivers_);
-  // Group flow indices by port slot (CSR) with no scratch: count each
-  // slot, turn the counts into inclusive prefix sums (slot ends), then fill
-  // walking the flows backwards, decrementing the end — which leaves
-  // slot_begin[s] at the slot's start and every per-slot list ascending,
-  // the order the backfill's merged walk depends on.
-  const auto build_csr = [this](const std::vector<PortLoad>& loads,
-                                const std::vector<std::uint32_t>& order,
-                                std::vector<std::uint32_t>& slot_flows,
-                                std::vector<std::uint32_t>& slot_begin,
-                                const bool senders) {
-    const auto slot_of = [&](const FlowState& f) {
-      return static_cast<std::size_t>(
-          find_slot(loads, order, senders ? f.src() : f.dst()));
-    };
-    slot_begin.assign(loads.size(), 0);
-    for (const auto& f : flows_) ++slot_begin[slot_of(f)];
-    for (std::size_t s = 1; s < slot_begin.size(); ++s) {
-      slot_begin[s] += slot_begin[s - 1];
-    }
-    slot_flows.resize(flows_.size());
-    for (std::size_t i = flows_.size(); i-- > 0;) {
-      slot_flows[--slot_begin[slot_of(flows_[i])]] =
-          static_cast<std::uint32_t>(i);
+  PortSlotScratch& scratch = port_slot_scratch(max_port);
+  index_ports(scratch, pool_.src, n, senders_, sender_order_,
+              sender_slot_flows_, sender_slot_begin_);
+  index_ports(scratch, pool_.dst, n, receivers_, receiver_order_,
+              receiver_slot_flows_, receiver_slot_begin_);
+  unfinished_ = static_cast<int>(n);
+  g_occupancy_epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+void CoflowState::poison_for_reuse(bool poisoned) {
+#ifdef SAATH_ASAN
+  // The object first on the way back (its fields locate the other two
+  // regions), last on the way out.
+  if (!poisoned) ASAN_UNPOISON_MEMORY_REGION(this, sizeof(*this));
+  const auto mark = [poisoned](const void* p, std::size_t bytes) {
+    if (poisoned) {
+      ASAN_POISON_MEMORY_REGION(p, bytes);
+    } else {
+      ASAN_UNPOISON_MEMORY_REGION(p, bytes);
     }
   };
-  build_csr(senders_, sender_order_, sender_slot_flows_, sender_slot_begin_,
-            true);
-  build_csr(receivers_, receiver_order_, receiver_slot_flows_,
-            receiver_slot_begin_, false);
-  unfinished_ = static_cast<int>(flows_.size());
-  g_occupancy_epoch.fetch_add(1, std::memory_order_relaxed);
+  mark(flows_.data(), flows_.capacity() * sizeof(FlowState));
+  mark(pool_.storage().data(), pool_.storage().size_bytes());
+  if (poisoned) ASAN_POISON_MEMORY_REGION(this, sizeof(*this));
+#else
+  (void)poisoned;
+#endif
 }
 
 SimTime CoflowState::completion_time() const {

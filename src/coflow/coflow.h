@@ -185,16 +185,39 @@ struct OccupancyDelta {
 };
 
 /// Mutable per-CoFlow simulation state. Owns its FlowStates.
+///
+/// A state can be recycled: reset() rebuilds it in place for a new CoFlow
+/// of at most capacity() flows, reusing the FlowPool block and every
+/// vector's capacity (the engine's free list of reclaimed states). Its
+/// occupancy, trajectory and progress versions keep counting up across
+/// such lives, so a fence recorded against the previous life can never
+/// match the new one.
 class CoflowState {
  public:
   /// Takes the spec by value: engine admissions move it straight off the
   /// workload stream (no deep copy of the flow vector); lvalue callers copy
-  /// once, as before.
-  CoflowState(CoflowSpec spec, FlowId first_flow_id);
+  /// once, as before. A nonzero `capacity` (at least the width) sizes the
+  /// pool and every vector for later reset() calls.
+  CoflowState(CoflowSpec spec, FlowId first_flow_id, std::size_t capacity = 0);
   /// Flows hold a back-pointer to their owner (for the aggregate caches);
   /// the state is pinned in place.
   CoflowState(const CoflowState&) = delete;
   CoflowState& operator=(const CoflowState&) = delete;
+
+  /// Rebuilds this state for `spec` (width <= capacity()) as if freshly
+  /// constructed — annotations back to their defaults, every flow
+  /// unfinished — except that the three versions continue past their
+  /// previous values. Allocation-free: the port slots and CSR lists are
+  /// rebuilt into the existing capacity through a stamped port->slot
+  /// scratch in O(width + slots log slots).
+  void reset(CoflowSpec spec, FlowId first_flow_id);
+  /// Most flows reset() can take without reallocating.
+  [[nodiscard]] std::size_t capacity() const { return pool_.capacity(); }
+  /// Free-list hygiene (engine use): under AddressSanitizer, marks the
+  /// state object, its flow handles and its trajectory lanes unaddressable
+  /// while it waits for reuse, so a stale pointer from the previous life
+  /// faults. No-op in other builds.
+  void poison_for_reuse(bool poisoned);
 
   [[nodiscard]] const CoflowSpec& spec() const { return spec_; }
   [[nodiscard]] CoflowId id() const { return spec_.id; }
@@ -262,15 +285,21 @@ class CoflowState {
     return occupancy_version_;
   }
 
-  /// Sum of the flows' rate versions. Equality between two observations
-  /// proves every flow's trajectory is unchanged between them: per-flow
-  /// versions never fall below an epoch-end observation (the bit-exact
-  /// zero-then-restore of a quiescent re-rate restores the version too),
-  /// so the sum cannot alias offsetting changes. This is what lets
-  /// crossing-prediction consumers skip their O(flows) scan when a
-  /// scheduling round re-derived the exact same rates.
+  /// Moves with every flow rate-version transition (within one life it
+  /// is the flows' rate-version sum plus a base carried over from earlier
+  /// lives). Equality between two observations proves every flow's
+  /// trajectory is unchanged between them: per-flow versions never fall
+  /// below an epoch-end observation (the bit-exact zero-then-restore of a
+  /// quiescent re-rate restores the version too), so the sum cannot alias
+  /// offsetting changes. This is what lets crossing-prediction consumers
+  /// skip their O(flows) scan when a scheduling round re-derived the exact
+  /// same rates.
   [[nodiscard]] std::uint64_t trajectory_version() const {
     return trajectory_version_;
+  }
+  /// Bumped on every trajectory mutation; keys the aggregate caches.
+  [[nodiscard]] std::uint64_t progress_version() const {
+    return progress_version_;
   }
 
   /// Bottleneck time at full port bandwidth over remaining bytes — the SEBF
@@ -317,6 +346,10 @@ class CoflowState {
   /// Data-availability gate (§4.3 pipelining): flows before this count are
   /// ready; engine-level injectors may hold data back.
   bool data_available = true;
+  /// Saath's per-round candidate dedup stamp (scheduler-owned).
+  std::uint64_t candidate_round = 0;
+  /// Position in the engine's ownership table (engine-owned).
+  std::uint32_t engine_slot = 0;
 
   /// Lengths (bytes) of flows that already finished; used by the §4.3
   /// approximate-SRTF estimator.
@@ -339,6 +372,12 @@ class CoflowState {
 
  private:
   friend class FlowState;
+  /// Lays out flows, port slots and CSR lists for spec_ (shared by the
+  /// constructor and reset()).
+  void build(FlowId first_flow_id);
+  /// Reserves every per-flow and per-port vector for `cap` flows, so no
+  /// later reset() within capacity reallocates.
+  void reserve_for_reuse(std::size_t cap);
   /// Slot of `port` in `loads` via the sorted index; -1 when absent.
   [[nodiscard]] static int find_slot(const std::vector<PortLoad>& loads,
                                      const std::vector<std::uint32_t>& order,
@@ -367,7 +406,8 @@ class CoflowState {
 
   CoflowSpec spec_;
   /// Declared before flows_: the handles point into it. Allocated once in
-  /// the constructor, never reallocated (handle stability).
+  /// the constructor, never reallocated (handle stability); reset() reuses
+  /// the block.
   FlowPool pool_;
   std::vector<FlowState> flows_;
   std::vector<PortLoad> senders_;

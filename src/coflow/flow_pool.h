@@ -17,7 +17,8 @@
 // Layout invariants (ROADMAP "SoA layout invariants" design note):
 //  - Handle stability: the arrays are allocated once and never reallocate,
 //    so FlowState handles and spans over the arrays stay valid for the
-//    CoflowState's lifetime.
+//    CoflowState's lifetime. A recycled CoflowState keeps its block:
+//    reset() re-initializes the first n slots of the same capacity.
 //  - Index identity: slot i of every array describes flows()[i], which is
 //    also what the CSR sender/receiver slot lists index.
 //  - One allocation: a pool belongs to exactly one CoflowState and lives
@@ -29,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/expect.h"
 #include "common/ids.h"
 #include "common/time.h"
 #include "common/units.h"
@@ -39,16 +41,20 @@ namespace saath {
 class FlowPool {
  public:
   FlowPool() = default;
-  explicit FlowPool(std::size_t n) { allocate(n); }
+  explicit FlowPool(std::size_t n) {
+    allocate(n);
+    reset(n);
+  }
   /// Handles hold raw pointers into the arrays; the pool is pinned.
   FlowPool(const FlowPool&) = delete;
   FlowPool& operator=(const FlowPool&) = delete;
 
-  /// Allocates and default-initializes slots for `n` flows: zero progress,
-  /// zero rate, anchor 0, predicted finish kNever, version 0, unfinished.
-  /// Callers overwrite size/anchor/predicted-finish per flow on admission.
-  void allocate(std::size_t n) {
-    n_ = n;
+  /// Allocates lanes for up to `capacity` flows (contents unset until
+  /// reset()). The block is never reallocated afterwards.
+  void allocate(std::size_t capacity) {
+    capacity_ = capacity;
+    n_ = 0;
+    const std::size_t n = capacity;
     const std::size_t lane_d = parallel::align_up_cache_line(n * sizeof(double));
     const std::size_t lane_t =
         parallel::align_up_cache_line(n * sizeof(SimTime));
@@ -72,6 +78,15 @@ class FlowPool {
                                        lane_p);
     finished = reinterpret_cast<std::uint8_t*>(base + 3 * lane_d + 2 * lane_t +
                                                lane_v + 2 * lane_p);
+  }
+
+  /// Sizes the pool to `n` <= capacity() flows and default-initializes
+  /// their slots: zero progress, zero rate, anchor 0, predicted finish
+  /// kNever, version 0, unfinished. Callers overwrite size/anchor/
+  /// predicted-finish per flow on admission.
+  void reset(std::size_t n) {
+    SAATH_EXPECTS(n <= capacity_);
+    n_ = n;
     std::fill_n(size_bytes, n, 0.0);
     std::fill_n(sent_base, n, 0.0);
     std::fill_n(rate, n, Rate{0});
@@ -84,6 +99,12 @@ class FlowPool {
   }
 
   [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// The lanes' one block, for allocator-level bookkeeping (sanitizer
+  /// poisoning of a parked CoflowState).
+  [[nodiscard]] const parallel::AlignedBuffer& storage() const {
+    return storage_;
+  }
 
   /// FlowState::sent() over slot `i` — the exact same branch and
   /// arithmetic, so dense walks produce the same bits as handle reads.
@@ -119,6 +140,7 @@ class FlowPool {
  private:
   parallel::AlignedBuffer storage_;
   std::size_t n_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 }  // namespace saath

@@ -18,9 +18,9 @@ void OrderIndex::insert(CoflowState* c, const OrderKey& k) {
   SAATH_EXPECTS(c != nullptr);
   SAATH_EXPECTS(!contains(k.id));
   SAATH_EXPECTS(k.id == c->id());
-  const auto [it, ok] = order_.emplace(k, c);
-  SAATH_EXPECTS(ok);
-  by_id_.emplace(k.id, it);
+  const auto it = order_nodes_.insert_new(order_, k);
+  it->second = c;
+  id_nodes_.insert_new(by_id_, k.id)->second = it;
   dirty_at(k);
 }
 
@@ -28,8 +28,8 @@ void OrderIndex::erase(CoflowId id) {
   const auto it = by_id_.find(id);
   if (it == by_id_.end()) return;
   dirty_at(it->second->first);
-  order_.erase(it->second);
-  by_id_.erase(it);
+  order_nodes_.erase(order_, it->second);
+  id_nodes_.erase(by_id_, it);
 }
 
 void OrderIndex::update(CoflowId id, const OrderKey& k) {
@@ -137,7 +137,12 @@ SAATH_HOT_NOALLOC void QueueCrossingHeap::program(CoflowState* c, SimTime at,
                                                   std::uint64_t traj,
                                                   int queue) {
   SAATH_EXPECTS(c != nullptr);
-  const auto [it, inserted] = live_.try_emplace(c->id());
+  auto it = live_.find(c->id());
+  const bool inserted = it == live_.end();
+  if (inserted) {
+    it = live_nodes_.insert_new(live_, c->id());
+    it->second = Live{};
+  }
   Live& l = it->second;
   l.state = c;
   l.traj = traj;
@@ -173,7 +178,7 @@ bool QueueCrossingHeap::current(CoflowId id, std::uint64_t traj,
          it->second.queue == queue;
 }
 
-void QueueCrossingHeap::erase(CoflowId id) { live_.erase(id); }
+void QueueCrossingHeap::erase(CoflowId id) { live_nodes_.erase(live_, id); }
 
 std::size_t QueueCrossingHeap::programmed() const {
   std::size_t n = 0;

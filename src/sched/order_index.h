@@ -33,6 +33,7 @@
 #include "coflow/coflow.h"
 #include "common/expect.h"
 #include "common/ids.h"
+#include "common/node_pool.h"
 #include "common/time.h"
 
 namespace saath {
@@ -108,10 +109,15 @@ class OrderIndex {
 
  private:
   using Map = std::map<OrderKey, CoflowState*>;
+  using IdMap = std::unordered_map<CoflowId, Map::iterator>;
   void dirty_at(const OrderKey& k);
 
   Map order_;
-  std::unordered_map<CoflowId, Map::iterator> by_id_;
+  IdMap by_id_;
+  /// Nodes of erased CoFlows, reused by the next inserts: admission and
+  /// retirement stop allocating once the population is warm.
+  NodePool<Map> order_nodes_;
+  NodePool<IdMap> id_nodes_;
   /// Materialization cache + the keys it was emitted under.
   std::vector<CoflowState*> cached_;
   std::vector<OrderKey> cached_keys_;
@@ -180,7 +186,7 @@ class QueueCrossingHeap {
       const auto it = live_.find(top.id);
       if (it == live_.end() || it->second.seq != top.seq) continue;  // stale
       CoflowState* c = it->second.state;
-      live_.erase(it);
+      live_nodes_.erase(live_, it);
       fn(c);
     }
   }
@@ -219,7 +225,10 @@ class QueueCrossingHeap {
   /// (schedule_valid_until is const); both keep capacity across epochs.
   mutable std::vector<Item> heap_;
   mutable std::vector<Item> pending_;
-  std::unordered_map<CoflowId, Live> live_;
+  using LiveMap = std::unordered_map<CoflowId, Live>;
+  LiveMap live_;
+  /// Nodes of erased entries, reused by program() for new CoFlows.
+  NodePool<LiveMap> live_nodes_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "sched/saath.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -46,6 +47,10 @@ using Clock = std::chrono::steady_clock;
   return cross;
 }
 
+/// Candidate-dedup stamps (CoflowState::candidate_round), unique across
+/// schedulers so two of them never mistake each other's marks.
+std::atomic<std::uint64_t> g_candidate_round{0};
+
 }  // namespace
 
 SaathScheduler::SaathScheduler(SaathConfig config)
@@ -88,7 +93,7 @@ bool SaathScheduler::is_volatile(const CoflowState& c) const {
 
 void SaathScheduler::on_coflow_arrival(CoflowState& coflow, SimTime now) {
   (void)now;
-  if (queue_tracked_.insert(coflow.id()).second) {
+  if (queue_tracked_nodes_.insert(queue_tracked_, coflow.id()).second) {
     queue_population_.add(coflow.queue_index);
   }
   if (!tracks_index()) return;
@@ -108,12 +113,12 @@ void SaathScheduler::on_flow_complete(CoflowState& coflow, FlowState& flow,
 
 void SaathScheduler::on_coflow_complete(CoflowState& coflow, SimTime now) {
   (void)now;
-  if (queue_tracked_.erase(coflow.id()) > 0) {
+  if (queue_tracked_nodes_.erase(queue_tracked_, coflow.id())) {
     queue_population_.remove(coflow.queue_index);
   }
   // Drop the CoFlow from the delta structures right away (all no-ops when
   // they are empty or never held it) so nothing retains its pointer.
-  pending_deadlines_.erase({coflow.deadline, coflow.id()});
+  deadline_nodes_.erase(pending_deadlines_, {coflow.deadline, coflow.id()});
   forget_coflow(coflow.id());
   if (!tracks_index() || !spatial_.contains(coflow.id())) return;
   spatial_.remove_coflow(coflow.id());
@@ -187,7 +192,7 @@ void SaathScheduler::stamp_deadlines(SimTime now,
   // t its minimum residence time — the FIFO drain-time bound.
   for (CoflowState* c : entered) {
     if (c->deadline != kNever) {
-      pending_deadlines_.erase({c->deadline, c->id()});
+      deadline_nodes_.erase(pending_deadlines_, {c->deadline, c->id()});
     }
     const int population = queue_population_.count(c->queue_index);
     const double t_q =
@@ -195,7 +200,7 @@ void SaathScheduler::stamp_deadlines(SimTime now,
     c->deadline =
         now + static_cast<SimTime>(config_.deadline_factor * population * t_q *
                                    1e6);
-    pending_deadlines_.insert({c->deadline, c->id()});
+    deadline_nodes_.insert(pending_deadlines_, {c->deadline, c->id()});
   }
 }
 
@@ -444,8 +449,6 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
           backfill_ids_.clear();
           spatial_.occupancy().collect_live_occupants(
               fabric.send_live(), fabric.recv_live(), backfill_ids_);
-          backfill_set_.clear();
-          for (const CoflowId id : backfill_ids_) backfill_set_.insert(id);
         }
       }
       // Pool-indexed: the walk reads only the dense finished/src/dst/rate
@@ -481,7 +484,7 @@ SAATH_HOT_NOALLOC void SaathScheduler::admit_and_conserve(
           if (fabric.send_live().empty() || fabric.recv_live().empty()) {
             break;
           }
-          if (use_join ? !backfill_set_.contains(c->id())
+          if (use_join ? !spatial_.occupancy().live_occupant(c->id())
                        : (!any_live_slot(c->sender_loads(), true) ||
                           !any_live_slot(c->receiver_loads(), false))) {
             continue;
@@ -735,13 +738,15 @@ void SaathScheduler::schedule_delta(SimTime now,
   //         their queue — they only need the admission-replay fence and,
   //         for contention, the spatial drain below.
   candidates_.clear();
-  candidate_ids_.clear();
   touch_only_.clear();
+  const std::uint64_t round = ++g_candidate_round;
   const auto add_candidate = [&](CoflowState* c) {
-    if (candidate_ids_.insert(c->id()).second) candidates_.push_back(c);
+    if (c->candidate_round == round) return;
+    c->candidate_round = round;
+    candidates_.push_back(c);
   };
   const auto drop_finished = [&](CoflowState* c) {
-    pending_deadlines_.erase({c->deadline, c->id()});
+    deadline_nodes_.erase(pending_deadlines_, {c->deadline, c->id()});
     forget_coflow(c->id());
   };
   for (CoflowState* c : delta.requeue) {
@@ -780,7 +785,7 @@ void SaathScheduler::schedule_delta(SimTime now,
     if (is_new) {
       // Arrival the hooks may not have seen (direct injection): make the
       // population and spatial membership whole before re-bucketing.
-      if (queue_tracked_.insert(c->id()).second) {
+      if (queue_tracked_nodes_.insert(queue_tracked_, c->id()).second) {
         queue_population_.add(c->queue_index);
       }
       if (tracks_index() && !spatial_.contains(c->id())) {
@@ -805,7 +810,7 @@ void SaathScheduler::schedule_delta(SimTime now,
   while (!pending_deadlines_.empty() &&
          pending_deadlines_.begin()->first <= now) {
     const CoflowId id = pending_deadlines_.begin()->second;
-    pending_deadlines_.erase(pending_deadlines_.begin());
+    deadline_nodes_.erase(pending_deadlines_, pending_deadlines_.begin());
     if (order_.contains(id)) {
       CoflowState* c = order_.state_of(id);
       order_.update(id, make_key(*c, now, order_key_component(*c)));
@@ -817,8 +822,9 @@ void SaathScheduler::schedule_delta(SimTime now,
   //         group moves) — the O(changed log F) core of the refactor.
   if (tracks_index()) {
     for (const CoflowId id : spatial_.contention_changes()) {
-      if (!order_.contains(id) || candidate_ids_.contains(id)) continue;
+      if (!order_.contains(id)) continue;
       CoflowState* c = order_.state_of(id);
+      if (c->candidate_round == round) continue;
       order_.update(id, make_key(*c, now, spatial_.contention(id)));
       ++stats_.rekeys;
     }

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/node_pool.h"
 #include "sched/order_index.h"
 #include "sched/queue_structure.h"
 #include "sim/scheduler.h"
@@ -304,14 +305,18 @@ class SaathScheduler final : public Scheduler {
   /// deltas (arrival, queue move, completion) instead of recounted.
   QueuePopulation queue_population_;
   /// CoFlows counted in queue_population_ (guards unpaired hook calls).
-  std::unordered_set<CoflowId> queue_tracked_;
+  using IdSet = std::unordered_set<CoflowId>;
+  IdSet queue_tracked_;
+  NodePool<IdSet> queue_tracked_nodes_;
 
   // --- delta-driven schedule-phase state (live only between precise-delta
   //     rounds of one stream; a full delta or new stream re-primes) -------
   OrderIndex order_;
   QueueCrossingHeap crossings_;
   /// Unexpired D5 deadlines, ordered; head feeds schedule_valid_until.
-  std::set<std::pair<SimTime, CoflowId>> pending_deadlines_;
+  using DeadlineSet = std::set<std::pair<SimTime, CoflowId>>;
+  DeadlineSet pending_deadlines_;
+  NodePool<DeadlineSet> deadline_nodes_;
   /// CoFlows on the §4.3 estimate path (dynamics-flagged with finished
   /// flows): re-bucketed every round, and the skip is disabled while any
   /// exist — exactly the full path's behavior.
@@ -322,9 +327,9 @@ class SaathScheduler final : public Scheduler {
   std::uint64_t admit_capacity_version_ = ~std::uint64_t{0};
   /// Delta stream the structures were primed for (0 = not primed).
   std::uint64_t primed_stream_ = 0;
-  /// Scratch (kept across rounds to reuse capacity).
+  /// Scratch (kept across rounds to reuse capacity). Candidates are
+  /// deduplicated by stamping CoflowState::candidate_round.
   std::vector<CoflowState*> candidates_;
-  std::unordered_set<CoflowId> candidate_ids_;
   /// Dirty CoFlows that provably kept their key (fence only).
   std::vector<CoflowState*> touch_only_;
   std::vector<CoflowState*> entered_;
@@ -345,11 +350,11 @@ class SaathScheduler final : public Scheduler {
   std::vector<ConserveRecord> conserve_cache_;
   bool conserve_cache_valid_ = false;
   std::uint64_t conserve_capacity_version_ = 0;
-  /// Port-indexed backfill scratch: the live-port join's occupant ids,
-  /// their set view for the in-order missed walk, and the merged per-slot
-  /// flow indices of one candidate.
+  /// Port-indexed backfill scratch: the live-port join's occupant ids
+  /// (the in-order missed walk tests membership through the join's stamp,
+  /// OccupancyIndex::live_occupant) and the merged per-slot flow indices
+  /// of one candidate.
   std::vector<CoflowId> backfill_ids_;
-  std::unordered_set<CoflowId> backfill_set_;
   std::vector<std::uint32_t> backfill_flow_idx_;
   /// sync_spatial O(1)-probe snapshots.
   const CoflowState* const* sync_active_data_ = nullptr;

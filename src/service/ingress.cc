@@ -132,7 +132,7 @@ Accept IngressQueue::validate(const Session& s,
         ev.coflow.id.value <= watermark_arrival_id_) {
       return Accept::kTieOrder;
     }
-    if (accepted_ids_.count(ev.coflow.id.value) != 0) {
+    if (accepted_ids_.contains(ev.coflow.id.value)) {
       return Accept::kDuplicateId;
     }
   } else if (ev.time == watermark_ && !at_watermark_lines_.empty() &&
@@ -356,7 +356,8 @@ void IngressQueue::adopt_restart_state(
   watermark_arrival_id_ = -1;
   at_watermark_lines_.clear();
   accepted_ids_.clear();
-  accepted_ids_.insert(admitted.begin(), admitted.end());
+  std::sort(admitted.begin(), admitted.end());
+  for (const std::int64_t id : admitted) accepted_ids_.insert(id);
   for (std::string& line : at_watermark_events) {
     if (line.empty()) continue;
     if (line[0] == 'A') {

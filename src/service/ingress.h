@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/interval_set.h"
 #include "common/time.h"
 #include "workload/source.h"
 
@@ -250,7 +251,7 @@ class IngressQueue {
   /// duplicate without tripping the time checks.
   std::unordered_set<std::string> at_watermark_lines_;
   /// Every arrival id ever accepted (queued or released).
-  std::unordered_set<std::int64_t> accepted_ids_;
+  IdIntervalSet accepted_ids_;
 
   IngressStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -30,6 +31,17 @@ using Clock = std::chrono::steady_clock;
 /// several) never alias, which would let a reused scheduler trust stale
 /// caches across runs.
 std::atomic<std::uint64_t> g_delta_stream{0};
+
+/// Free-list bin serving `width` flows: the smallest k with 2^k >= width.
+[[nodiscard]] std::size_t width_class(std::size_t width) {
+  return width <= 1 ? 0 : static_cast<std::size_t>(std::bit_width(width - 1));
+}
+
+/// Free-list bin of a state with `capacity` (all of whose members can
+/// serve widths up to 2^k): the largest k with 2^k <= capacity.
+[[nodiscard]] std::size_t capacity_class(std::size_t capacity) {
+  return static_cast<std::size_t>(std::bit_width(capacity)) - 1;
+}
 
 [[nodiscard]] bool entry_later(const SimTime a_arrival, const std::int64_t a_id,
                                const SimTime b_arrival, const std::int64_t b_id) {
@@ -92,6 +104,14 @@ Engine::Engine(std::shared_ptr<workload::WorkloadSource> source,
 Engine::Engine(trace::Trace trace, Scheduler& scheduler, SimConfig config)
     : Engine(std::make_shared<workload::TraceSource>(std::move(trace)),
              scheduler, config) {}
+
+Engine::~Engine() {
+  // Parked states are poisoned under ASan; make them addressable again so
+  // their destructors can run.
+  for (auto& bin : free_states_) {
+    for (auto& state : bin) state->poison_for_reuse(false);
+  }
+}
 
 void Engine::add_dynamics_event(DynamicsEvent event) {
   SAATH_EXPECTS_MSG(!running_,
@@ -209,7 +229,7 @@ void Engine::pull_due_source_events() {
           // admitted id violates both, and the duplicate is the root cause.
           // Insertion only happens on full acceptance so a dropped event
           // never poisons the id set.
-          if (admitted_ids_.count(ev.coflow.id.value) > 0) {
+          if (admitted_ids_.contains(ev.coflow.id.value)) {
             record_input_fault(InputFault::Kind::kDuplicateId, ev.time,
                                ev.coflow.id.value,
                                "CoflowId already admitted this run");
@@ -274,7 +294,52 @@ bool Engine::input_pending() {
   return source_->peek_next_time() != kNever || !injected_.empty();
 }
 
-void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
+std::unique_ptr<CoflowState> Engine::acquire_state(CoflowSpec spec) {
+  const FlowId first{next_flow_id_};
+  std::size_t capacity = 0;
+  if (!config_.record_results && spec.flows.size() <= kMaxRecycledWidth) {
+    const std::size_t k = width_class(spec.flows.size());
+    auto& bin = free_states_[k];
+    if (!bin.empty()) {
+      std::unique_ptr<CoflowState> state = std::move(bin.back());
+      bin.pop_back();
+      ++stats_.recycled_states;
+      state->poison_for_reuse(false);
+      state->reset(std::move(spec), first);
+      return state;
+    }
+    capacity = std::size_t{1} << k;
+  }
+  return std::make_unique<CoflowState>(std::move(spec), first, capacity);
+}
+
+SAATH_HOT_NOALLOC void Engine::recycle(std::unique_ptr<CoflowState> state) {
+  if (state->capacity() > kMaxRecycledWidth) return;  // freed here
+  auto& bin = free_states_[capacity_class(state->capacity())];
+  state->poison_for_reuse(true);  // nothing may touch it from here on
+  bin.push_back(std::move(state));
+}
+
+CoflowState& Engine::own(std::unique_ptr<CoflowState> state) {
+  state->engine_slot = static_cast<std::uint32_t>(owned_.size());
+  owned_.push_back(std::move(state));
+  return *owned_.back();
+}
+
+std::unique_ptr<CoflowState> Engine::disown(CoflowState& c) {
+  const std::size_t slot = c.engine_slot;
+  SAATH_EXPECTS(slot < owned_.size() && owned_[slot].get() == &c);
+  std::unique_ptr<CoflowState> out = std::move(owned_[slot]);
+  if (slot + 1 != owned_.size()) {
+    owned_[slot] = std::move(owned_.back());
+    owned_[slot]->engine_slot = static_cast<std::uint32_t>(slot);
+  }
+  owned_.pop_back();
+  return out;
+}
+
+SAATH_HOT_NOALLOC void Engine::admit_coflow(CoflowSpec spec,
+                                            SimTime data_ready) {
   const CoflowId id = spec.id;
   ++stats_.arrivals_admitted;
   if (config_.track_admission_latency) {
@@ -282,7 +347,7 @@ void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
     // state allocates nothing.
     pending_admit_stamps_.push_back(Clock::now());
   }
-  auto state = std::make_unique<CoflowState>(std::move(spec), FlowId{next_flow_id_});
+  CoflowState* const state = &own(acquire_state(std::move(spec)));
   next_flow_id_ += state->width();
   // Effective release instant = earliest of any already-recorded release
   // (pre-run setter, or a kDataAvailable delivered in this very epoch's
@@ -310,14 +375,12 @@ void Engine::admit_coflow(CoflowSpec spec, SimTime data_ready) {
     // Already released — nothing for the flip loop to consume later.
     data_available_at_.erase(id);
   }
-  active_.push_back(state.get());
+  active_.push_back(state);
   // Zero-byte flows are born finished: their completion event exists
   // before any rate assignment ever touches them.
   push_completion_events(*state);
   scheduler_.on_coflow_arrival(*state, now_);
-  delta_.mark(state.get());
-  CoflowState* raw = state.get();
-  owned_coflows_.emplace(raw, std::move(state));
+  delta_.mark(state);
   schedule_dirty_ = true;
 }
 
@@ -456,8 +519,8 @@ SAATH_HOT_NOALLOC void Engine::compute_schedule() {
   schedule_dirty_ = false;
   schedule_valid_until_ = scheduler_.schedule_valid_until(now_, active_);
   scheduled_capacity_version_ = fabric_.capacity_version();
-  // Amortize the O(heap) purge: defer freeing until the graveyard is a
-  // meaningful fraction of the heap. The parked states stay alive (so
+  // Amortize the O(heap) purge: defer reclamation until the graveyard is
+  // a meaningful fraction of the heap. The parked states stay alive (so
   // every stale pointer anywhere remains dereferenceable) and their count
   // is bounded by that same fraction — memory stays O(live).
   if (!graveyard_.empty() &&
@@ -484,7 +547,7 @@ SAATH_HOT_NOALLOC void Engine::reclaim_finished() {
   // structures (by id / at the hook), the admission-replay fences already
   // re-recorded past their ranks, and begin_epoch() folded the last touched
   // set that could reference their flows. Purge the completion heap's stale
-  // events (pointer identity only), then free.
+  // events (pointer identity only), then recycle.
   if (config_.event_driven) {
     dying_scratch_.clear();
     for (const auto& c : graveyard_) dying_scratch_.push_back(c.get());
@@ -495,6 +558,7 @@ SAATH_HOT_NOALLOC void Engine::reclaim_finished() {
     });
   }
   stats_.reclaimed_coflows += static_cast<std::int64_t>(graveyard_.size());
+  for (auto& state : graveyard_) recycle(std::move(state));
   graveyard_.clear();
 }
 
@@ -577,10 +641,7 @@ void Engine::update_quarantine() {
       if (c->stall_rounds >= config_.max_stall_epochs) {
         ++stats_.quarantine_events;
         scheduler_.on_coflow_quarantined(*c, now_);
-        const auto it = owned_coflows_.find(c);
-        SAATH_EXPECTS(it != owned_coflows_.end());
-        std::unique_ptr<CoflowState> owned = std::move(it->second);
-        owned_coflows_.erase(it);
+        std::unique_ptr<CoflowState> owned = disown(*c);
         c->stall_rounds = 0;
         if (c->requeue_attempts >= config_.max_requeue_attempts) {
           // Abandoned: the state is about to be freed, so the completion
@@ -641,7 +702,7 @@ void Engine::release_quarantined() {
     push_completion_events(*c);
     scheduler_.on_coflow_arrival(*c, now_);
     delta_.mark(c);
-    owned_coflows_.emplace(c, std::move(q.state));
+    own(std::move(q.state));
     schedule_dirty_ = true;
   }
   quarantined_.resize(w);
@@ -760,7 +821,7 @@ std::unique_ptr<CoflowState> Engine::rebuild_coflow(const CoflowSnapshot& cs) {
 
 void Engine::restore_snapshot(const EngineSnapshot& snap) {
   SAATH_EXPECTS_MSG(!running_, "restore_snapshot is pre-run only");
-  SAATH_EXPECTS_MSG(active_.empty() && owned_coflows_.empty() && now_ == 0,
+  SAATH_EXPECTS_MSG(active_.empty() && owned_.empty() && now_ == 0,
                     "restore_snapshot needs a fresh engine");
   if (snap.scheduler != result_.scheduler) {
     throw std::invalid_argument(
@@ -798,13 +859,11 @@ void Engine::restore_snapshot(const EngineSnapshot& snap) {
   // stamp — adoption into epoch 0 would silently not record the touch.
   rates_.begin_epoch(now_);
   for (const CoflowSnapshot& cs : snap.active) {
-    std::unique_ptr<CoflowState> state = rebuild_coflow(cs);
-    CoflowState* raw = state.get();
+    CoflowState* raw = &own(rebuild_coflow(cs));
     active_.push_back(raw);
     push_completion_events(*raw);
     scheduler_.on_coflow_arrival(*raw, now_);
     delta_.mark(raw);
-    owned_coflows_.emplace(raw, std::move(state));
     if (!config_.strict_input) admitted_ids_.insert(raw->id().value);
   }
   for (const QuarantineSnapshot& qs : snap.quarantined) {
@@ -886,7 +945,8 @@ SAATH_HOT_NOALLOC void Engine::harvest_completions(SimTime at) {
 
 void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   scheduler_.on_coflow_complete(coflow, at);
-  CoflowRecord rec;
+  CoflowRecord kept;
+  CoflowRecord& rec = config_.record_results ? kept : record_scratch_;
   rec.id = coflow.id();
   rec.job = coflow.spec().job;
   rec.stage = coflow.spec().stage;
@@ -895,6 +955,8 @@ void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   rec.width = coflow.width();
   rec.total_bytes = coflow.spec().total_bytes();
   rec.equal_flow_lengths = trace::has_equal_flow_lengths(coflow.spec());
+  rec.flow_fcts_seconds.clear();
+  rec.flow_sizes.clear();
   rec.flow_fcts_seconds.reserve(coflow.flows().size());
   rec.flow_sizes.reserve(coflow.flows().size());
   for (const auto& f : coflow.flows()) {
@@ -912,12 +974,9 @@ void Engine::finalize_coflow(CoflowState& coflow, SimTime at) {
   if (config_.record_results) {
     result_.coflows.push_back(std::move(rec));
   } else {
-    // Streaming mode: hand the state to the graveyard; it is destroyed at
+    // Streaming mode: hand the state to the graveyard; it is recycled at
     // the next reclamation point (end of the delta-consuming schedule()).
-    const auto it = owned_coflows_.find(&coflow);
-    SAATH_EXPECTS(it != owned_coflows_.end());
-    graveyard_.push_back(std::move(it->second));
-    owned_coflows_.erase(it);
+    graveyard_.push_back(disown(coflow));
   }
 }
 

@@ -28,6 +28,7 @@
 // per completion — which the property suite holds bit-identical.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -37,10 +38,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/interval_set.h"
 #include "sim/completion_heap.h"
 #include "sim/dynamics.h"
 #include "sim/rate_assignment.h"
@@ -79,12 +80,12 @@ struct SimConfig {
   /// ResultSink instead — completions are aggregated online and SimResult
   /// carries only run-level fields (makespan, names). false additionally
   /// enables CoflowState reclamation: a finished CoFlow's state is
-  /// destroyed at the end of the scheduling round that consumes its
+  /// reclaimed at the end of the scheduling round that consumes its
   /// completion delta (after the scheduler's caches have re-fenced and the
-  /// completion heap is purged), keeping memory O(live CoFlows) over
-  /// unbounded horizons. Schedulers must not retain CoflowState pointers
-  /// past that round — Saath/Aalo drop them at on_coflow_complete / the
-  /// delta-consuming schedule() already.
+  /// completion heap is purged) and recycled for a later arrival, keeping
+  /// memory O(live CoFlows) over unbounded horizons. Schedulers must not
+  /// retain CoflowState pointers past that round — Saath/Aalo drop them at
+  /// on_coflow_complete / the delta-consuming schedule() already.
   bool record_results = true;
   /// Runaway guard: the run throws if simulated time passes this. Also the
   /// horizon bound for unbounded sources (e.g. SynthSource with
@@ -153,8 +154,11 @@ struct EngineStats {
   /// store slot. Each of these was a deep copy (CoflowSpec + flow vector)
   /// out of a std::priority_queue in the pre-streaming engine.
   std::int64_t injected_moves = 0;
-  /// Finished CoflowStates destroyed mid-run (record_results = false).
+  /// Finished CoflowStates reclaimed mid-run (record_results = false).
   std::int64_t reclaimed_coflows = 0;
+  /// Admissions served by a reclaimed state (CoflowState::reset) instead
+  /// of a fresh allocation.
+  std::int64_t recycled_states = 0;
   /// Workload ingestion (admit_arrivals + process_dynamics) wall time —
   /// with schedule_ns and advance_ns this completes the per-phase
   /// breakdown of the run loop.
@@ -212,6 +216,9 @@ class Engine {
   /// Legacy materialized input: thin wrapper that streams the trace through
   /// a workload::TraceSource (bit-identical to the pre-streaming engine).
   Engine(trace::Trace trace, Scheduler& scheduler, SimConfig config = {});
+  ~Engine();
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   /// Pre-run configuration -------------------------------------------------
   /// Pre-run only; mid-run dynamics belong in the workload stream
@@ -303,6 +310,16 @@ class Engine {
   /// data-availability gates whose release time passed.
   void admit_arrivals();
   void admit_coflow(CoflowSpec spec, SimTime data_ready);
+  /// A state for `spec`: a reclaimed one of a large enough size class,
+  /// reset in place, or a fresh allocation (capacity rounded up to the
+  /// class when reclamation is on, so it can be reused later).
+  [[nodiscard]] std::unique_ptr<CoflowState> acquire_state(CoflowSpec spec);
+  /// Parks a reclaimed state in its size class, poisoned under ASan.
+  void recycle(std::unique_ptr<CoflowState> state);
+  /// Ownership table: own() files a state under CoflowState::engine_slot,
+  /// disown() hands it back out by swap-with-last, both O(1).
+  CoflowState& own(std::unique_ptr<CoflowState> state);
+  [[nodiscard]] std::unique_ptr<CoflowState> disown(CoflowState& c);
   /// Applies due dynamics: the legacy pre-run list merged with streamed
   /// kDynamics events in time order (legacy first on ties).
   void process_dynamics();
@@ -313,7 +330,7 @@ class Engine {
   /// folded the previous epoch's touched flows, the scheduler consumed the
   /// delta naming these CoFlows, and its caches are re-fenced — the
   /// completion heap's stale events are the only remaining references, and
-  /// they are purged here before the states are freed.
+  /// they are purged here before the states are recycled.
   void reclaim_finished();
   void verify_capacity() const;
   /// Advances the fluid model to `epoch_end`, resolving completions exactly.
@@ -382,13 +399,28 @@ class Engine {
   std::int64_t last_arrival_id_ = std::numeric_limits<std::int64_t>::min();
 
   InjectedHeap injected_;
-  /// Ownership of every live CoflowState, keyed by pointer so streaming
-  /// reclamation can extract a finished CoFlow's storage in O(1).
-  std::unordered_map<const CoflowState*, std::unique_ptr<CoflowState>>
-      owned_coflows_;
+  /// Every state the engine holds in play (active, or finished under
+  /// record_results), indexed by CoflowState::engine_slot.
+  std::vector<std::unique_ptr<CoflowState>> owned_;
   /// Finished states awaiting the next safe reclamation point (the end of
   /// the scheduling round that consumes their completion delta).
   std::vector<std::unique_ptr<CoflowState>> graveyard_;
+  /// Reclaimed states awaiting reuse, binned by capacity: bin k holds
+  /// capacities in [2^k, 2^(k+1)) and serves widths up to 2^k. Bounded by
+  /// construction: a state of class k is allocated only when bin k is
+  /// empty, i.e. when every class-k state is in play, so a bin never holds
+  /// more states than its class's live high-water mark. CoFlows wider than
+  /// kMaxRecycledWidth get exact-size states that are freed at
+  /// reclamation: their allocations are amortized over many flows, and
+  /// parking them would hold each wide class's peak memory for the rest
+  /// of the run (1M-CoFlow bench/workload_stream on a 4-vCPU VM: peak RSS
+  /// 60 MB recycling every width, 42 MB with this cap).
+  static constexpr std::size_t kMaxRecycledWidth = 64;
+  std::array<std::vector<std::unique_ptr<CoflowState>>, 7> free_states_;
+  /// The record handed to the sink, the source and the callback when
+  /// record_results = false, reused across completions (the sink contract
+  /// makes the reference call-scoped).
+  CoflowRecord record_scratch_;
   /// Reclamation scratch (sorted dying pointers), reused across calls so
   /// reclaim_finished() allocates nothing in steady state.
   std::vector<const CoflowState*> dying_scratch_;
@@ -412,7 +444,7 @@ class Engine {
   };
   std::vector<Quarantined> quarantined_;
   /// Tolerant mode only: every admitted CoflowId, for duplicate rejection.
-  std::unordered_set<std::int64_t> admitted_ids_;
+  IdIntervalSet admitted_ids_;
   SnapshotHook snapshot_hook_;
   std::int64_t snapshot_every_ = 0;
 

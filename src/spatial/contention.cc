@@ -10,10 +10,19 @@ void SpatialIndex::note_contention_change(CoflowId id, Entry& e) {
   changes_.push_back(id);
 }
 
+int& SpatialIndex::overlap_with(Entry& e, CoflowId d) {
+  auto it = e.overlap.find(d);
+  if (it == e.overlap.end()) {
+    it = overlap_nodes_.insert_new(e.overlap, d);
+    it->second = 0;
+  }
+  return it->second;
+}
+
 void SpatialIndex::add_overlap(CoflowId a, Entry& ea, CoflowId b) {
   Entry& eb = entries_.at(b);
-  const int ov = ++ea.overlap[b];
-  ++eb.overlap[a];
+  const int ov = ++overlap_with(ea, b);
+  ++overlap_with(eb, a);
   if (ov == 1 && ea.group == eb.group) {
     ++ea.contention;
     ++eb.contention;
@@ -30,8 +39,8 @@ void SpatialIndex::drop_overlap(CoflowId a, Entry& ea, CoflowId b) {
   SAATH_EXPECTS(ita->second == itb->second && ita->second > 0);
   --itb->second;
   if (--ita->second == 0) {
-    ea.overlap.erase(ita);
-    eb.overlap.erase(itb);
+    overlap_nodes_.erase(ea.overlap, ita);
+    overlap_nodes_.erase(eb.overlap, itb);
     if (ea.group == eb.group) {
       SAATH_EXPECTS(ea.contention > 0 && eb.contention > 0);
       --ea.contention;
@@ -45,8 +54,12 @@ void SpatialIndex::drop_overlap(CoflowId a, Entry& ea, CoflowId b) {
 void SpatialIndex::add_coflow(const CoflowState& c, int group) {
   SAATH_EXPECTS(!contains(c.id()));
   ++mutations_;
-  Entry& e = entries_[c.id()];
+  // A recycled node's entry was fully drained at its removal (empty
+  // overlap, zero contention); reset the rest.
+  Entry& e = entry_nodes_.insert_new(entries_, c.id())->second;
   e.group = group;
+  e.contention = 0;
+  e.change_stamp = ~std::uint64_t{0};
   e.version = c.occupancy_version();
   // Join the buckets first: the co-resident scan below then sees the final
   // membership and just skips the CoFlow itself.
@@ -72,7 +85,7 @@ void SpatialIndex::remove_coflow(CoflowId id) {
   }
   SAATH_EXPECTS(it->second.overlap.empty());
   SAATH_EXPECTS(it->second.contention == 0);
-  entries_.erase(it);
+  entry_nodes_.erase(entries_, it);
 }
 
 void SpatialIndex::on_flow_complete(const CoflowState& c,

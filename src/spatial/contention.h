@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/node_pool.h"
 #include "spatial/occupancy.h"
 
 namespace saath::spatial {
@@ -94,12 +95,22 @@ class SpatialIndex {
     std::unordered_map<CoflowId, int> overlap;
   };
 
+  using OverlapMap = std::unordered_map<CoflowId, int>;
+  using EntryMap = std::unordered_map<CoflowId, Entry>;
+
+  /// e's overlap counter for neighbor `d`, created at 0 when absent.
+  int& overlap_with(Entry& e, CoflowId d);
   void add_overlap(CoflowId a, Entry& ea, CoflowId b);
   void drop_overlap(CoflowId a, Entry& ea, CoflowId b);
   void note_contention_change(CoflowId id, Entry& e);
 
   OccupancyIndex occupancy_;
-  std::unordered_map<CoflowId, Entry> entries_;
+  EntryMap entries_;
+  /// Recycled entry and overlap nodes: admission, contention churn and
+  /// retirement allocate nothing once the index is warm. One overlap pool
+  /// serves every entry's map.
+  NodePool<EntryMap> entry_nodes_;
+  NodePool<OverlapMap> overlap_nodes_;
   std::vector<CoflowId> changes_;
   std::uint64_t change_epoch_ = 0;
   std::uint64_t mutations_ = 0;

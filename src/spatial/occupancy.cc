@@ -1,47 +1,63 @@
 #include "spatial/occupancy.h"
 
+#include <algorithm>
+
 #include "common/expect.h"
 
 namespace saath::spatial {
 
-void OccupancyIndex::join(CoflowId id, std::int64_t bucket) {
-  Bucket& b = buckets_[bucket];
-  const auto [it, inserted] = b.position.emplace(id, b.members.size());
-  SAATH_EXPECTS(inserted);
-  (void)it;
+OccupancyIndex::Slot& OccupancyIndex::slot_of(Slots& slots,
+                                              std::int64_t bucket) {
+  const auto it = std::lower_bound(
+      slots.slots.begin(), slots.slots.end(), bucket,
+      [](const Slot& s, std::int64_t b) { return s.bucket < b; });
+  SAATH_EXPECTS(it != slots.slots.end() && it->bucket == bucket);
+  return *it;
+}
+
+void OccupancyIndex::join(CoflowId id, Slot& slot) {
+  Bucket& b = buckets_[slot.bucket];
+  slot.position = static_cast<std::uint32_t>(b.members.size());
   b.members.push_back(id);
 }
 
-void OccupancyIndex::leave(CoflowId id, std::int64_t bucket) {
-  const auto bit = buckets_.find(bucket);
+void OccupancyIndex::leave(CoflowId id, const Slot& slot) {
+  const auto bit = buckets_.find(slot.bucket);
   SAATH_EXPECTS(bit != buckets_.end());
-  Bucket& b = bit->second;
-  const auto pit = b.position.find(id);
-  SAATH_EXPECTS(pit != b.position.end());
-  const std::size_t pos = pit->second;
-  b.position.erase(pit);
-  const CoflowId moved = b.members.back();
-  b.members[pos] = moved;
-  b.members.pop_back();
-  if (moved != id) b.position[moved] = pos;
+  std::vector<CoflowId>& members = bit->second.members;
+  SAATH_EXPECTS(slot.position < members.size() &&
+                members[slot.position] == id);
+  const CoflowId moved = members.back();
+  members[slot.position] = moved;
+  members.pop_back();
+  if (moved != id) {
+    slot_of(coflows_.find(moved)->second, slot.bucket).position =
+        slot.position;
+  }
 }
 
 const std::vector<std::int64_t>& OccupancyIndex::add_coflow(
     const CoflowState& c) {
   SAATH_EXPECTS(!contains(c.id()));
-  Slots& slots = coflows_[c.id()];
+  Slots& slots = coflow_nodes_.insert_new(coflows_, c.id())->second;
+  slots.slots.clear();  // a recycled node keeps its previous owner's slots
+  slots.join_stamp = 0;
   touched_.clear();
   for (const auto& load : c.sender_loads()) {
     if (load.unfinished_flows == 0) continue;
-    slots.unfinished.emplace(sender_bucket(load.port), load.unfinished_flows);
+    slots.slots.push_back({sender_bucket(load.port), load.unfinished_flows, 0});
     touched_.push_back(sender_bucket(load.port));
   }
   for (const auto& load : c.receiver_loads()) {
     if (load.unfinished_flows == 0) continue;
-    slots.unfinished.emplace(receiver_bucket(load.port), load.unfinished_flows);
+    slots.slots.push_back(
+        {receiver_bucket(load.port), load.unfinished_flows, 0});
     touched_.push_back(receiver_bucket(load.port));
   }
-  for (const std::int64_t bucket : touched_) join(c.id(), bucket);
+  std::sort(slots.slots.begin(), slots.slots.end(),
+            [](const Slot& a, const Slot& b) { return a.bucket < b.bucket; });
+  slots.occupied = slots.slots.size();
+  for (Slot& slot : slots.slots) join(c.id(), slot);
   return touched_;
 }
 
@@ -49,12 +65,12 @@ const std::vector<std::int64_t>& OccupancyIndex::remove_coflow(CoflowId id) {
   const auto it = coflows_.find(id);
   SAATH_EXPECTS(it != coflows_.end());
   touched_.clear();
-  for (const auto& [bucket, unfinished] : it->second.unfinished) {
-    SAATH_EXPECTS(unfinished > 0);
-    touched_.push_back(bucket);
+  for (const Slot& slot : it->second.slots) {
+    if (slot.unfinished == 0) continue;
+    touched_.push_back(slot.bucket);
+    leave(id, slot);
   }
-  for (const std::int64_t bucket : touched_) leave(id, bucket);
-  coflows_.erase(it);
+  coflow_nodes_.erase(coflows_, it);
   return touched_;
 }
 
@@ -65,11 +81,11 @@ SlotDelta OccupancyIndex::on_flow_complete(CoflowId id, PortIndex src,
   Slots& slots = it->second;
   SlotDelta delta;
   const auto drop = [&](std::int64_t bucket) {
-    const auto sit = slots.unfinished.find(bucket);
-    SAATH_EXPECTS(sit != slots.unfinished.end() && sit->second > 0);
-    if (--sit->second == 0) {
-      slots.unfinished.erase(sit);
-      leave(id, bucket);
+    Slot& slot = slot_of(slots, bucket);
+    SAATH_EXPECTS(slot.unfinished > 0);
+    if (--slot.unfinished == 0) {
+      --slots.occupied;
+      leave(id, slot);
       return true;
     }
     return false;
@@ -111,9 +127,15 @@ void OccupancyIndex::collect_live_occupants(
   }
 }
 
+bool OccupancyIndex::live_occupant(CoflowId id) const {
+  const auto it = coflows_.find(id);
+  return join_epoch_ != 0 && it != coflows_.end() &&
+         it->second.join_stamp == join_epoch_;
+}
+
 std::size_t OccupancyIndex::occupied_slots(CoflowId id) const {
   const auto it = coflows_.find(id);
-  return it == coflows_.end() ? 0 : it->second.unfinished.size();
+  return it == coflows_.end() ? 0 : it->second.occupied;
 }
 
 void OccupancyIndex::clear() {

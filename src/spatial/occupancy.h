@@ -14,6 +14,11 @@
 // Sender and receiver ports are separate resources (machine i's uplink and
 // downlink); buckets are keyed as 2*port for uplinks and 2*port+1 for
 // downlinks so the index needs no a-priori port count.
+//
+// Per-CoFlow state is one flat slot vector (sorted by bucket, each entry
+// carrying its position in the bucket's member list), and the per-CoFlow
+// entries are recycled through a node pool: admitting and retiring
+// CoFlows allocates nothing once the index is warm.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 
 #include "coflow/coflow.h"
 #include "common/ids.h"
+#include "common/node_pool.h"
 
 namespace saath::spatial {
 
@@ -74,6 +80,11 @@ class OccupancyIndex {
                               std::span<const PortIndex> live_receivers,
                               std::vector<CoflowId>& out) const;
 
+  /// True when `id` was emitted by the latest collect_live_occupants()
+  /// call: the join's dedup stamp doubles as the membership test, so a
+  /// consumer gating on the join needs no set of its own.
+  [[nodiscard]] bool live_occupant(CoflowId id) const;
+
   /// Distinct buckets `id` still occupies.
   [[nodiscard]] std::size_t occupied_slots(CoflowId id) const;
 
@@ -82,22 +93,34 @@ class OccupancyIndex {
  private:
   struct Bucket {
     std::vector<CoflowId> members;
-    /// Position of each member in `members` for O(1) swap-removal.
-    std::unordered_map<CoflowId, std::size_t> position;
+  };
+  /// One port slot a CoFlow touched: its unfinished flows there and, while
+  /// that count is positive, its position in the bucket's member list (for
+  /// O(1) swap-removal).
+  struct Slot {
+    std::int64_t bucket = 0;
+    int unfinished = 0;
+    std::uint32_t position = 0;
   };
   struct Slots {
-    /// bucket key -> unfinished flows of this CoFlow on that slot.
-    std::unordered_map<std::int64_t, int> unfinished;
+    /// Every slot the CoFlow was admitted on, sorted by bucket; slots whose
+    /// count dropped to zero stay (the CoFlow has left their bucket).
+    std::vector<Slot> slots;
+    /// Slots with unfinished > 0.
+    std::size_t occupied = 0;
     /// collect_live_occupants dedup stamp (two epochs per call: seen on a
     /// live sender, then emitted). Mutable bookkeeping, not index state.
     mutable std::uint64_t join_stamp = 0;
   };
+  using CoflowMap = std::unordered_map<CoflowId, Slots>;
 
-  void join(CoflowId id, std::int64_t bucket);
-  void leave(CoflowId id, std::int64_t bucket);
+  [[nodiscard]] static Slot& slot_of(Slots& slots, std::int64_t bucket);
+  void join(CoflowId id, Slot& slot);
+  void leave(CoflowId id, const Slot& slot);
 
   std::unordered_map<std::int64_t, Bucket> buckets_;
-  std::unordered_map<CoflowId, Slots> coflows_;
+  CoflowMap coflows_;
+  NodePool<CoflowMap> coflow_nodes_;
   /// Scratch returned by add_coflow/remove_coflow (valid until next call).
   std::vector<std::int64_t> touched_;
   /// Monotone epoch source for the join stamps.

@@ -1,8 +1,10 @@
-// Steady-state zero-allocation contract (ISSUE 8 / S2): once warm, a
-// scheduling epoch over a fixed flow population must perform NO heap
-// allocations in the epoch-cycled structures — RateAssignment's touched
-// set, SchedulerDelta's dirty/requeue lists, CompletionHeap and
-// QueueCrossingHeap. All of them recycle vector capacity across epochs.
+// Steady-state zero-allocation contract: once warm, a scheduling epoch
+// over a fixed flow population must perform NO heap allocations in the
+// epoch-cycled structures — RateAssignment's touched set, SchedulerDelta's
+// dirty/requeue lists, CompletionHeap and QueueCrossingHeap. All of them
+// recycle vector capacity across epochs. The ArrivalChurn cases extend the
+// contract to the CoFlow lifecycle: with reclamation on, admitting and
+// retiring a CoFlow recycles its state and every scheduler index entry.
 //
 // This binary (and only this binary) replaces the global operator
 // new/delete with counting shims over malloc/free, so an allocation
@@ -20,15 +22,17 @@
 #include "sim/completion_heap.h"
 #include "sim/rate_assignment.h"
 #include "sim/scheduler.h"
+#include "sched/aalo.h"
 #include "sched/order_index.h"
+#include "sched/saath.h"
+#include "sim/engine.h"
 #include "test_util.h"
+#include "workload/source.h"
 
 // --------------------------------------------------------------------------
-// Counting global allocator. Plain (unaligned) forms only: FlowPool's
-// cache-aligned lanes go through the align_val_t overloads, which keep
-// their library defaults — pool allocation happens at CoFlow construction,
-// never inside an epoch, and mixing is safe because each form pairs with
-// its own delete.
+// Counting global allocator, aligned forms included: FlowPool's
+// cache-aligned lanes go through the align_val_t overloads, and the
+// arrival-churn cases must see a pool block that is not recycled.
 
 void* operator new(std::size_t n) {
   saath::debug_note_alloc();
@@ -58,6 +62,38 @@ void operator delete[](void* p) noexcept {
 }
 
 void operator delete[](void* p, std::size_t) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void* operator new(std::size_t n, std::align_val_t al) {
+  saath::debug_note_alloc();
+  const auto a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, ((n ? n : 1) + a - 1) / a * a)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return ::operator new(n, al);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void operator delete[](void* p, std::align_val_t) noexcept {
+  saath::debug_note_dealloc();
+  std::free(p);
+}
+
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   saath::debug_note_dealloc();
   std::free(p);
 }
@@ -186,6 +222,106 @@ TEST(AllocSteady, QueueCrossingHeapReprogramRecyclesCapacity) {
     (void)heap.next();
   });
   EXPECT_EQ(delta, 0u);
+}
+
+// ------------------------------------------------------- arrival churn
+
+/// Replays pre-built arrivals and snapshots the allocation counter when
+/// the engine pulls the first measured event and the last one, so the
+/// window covers the admission, scheduling, completion and reclamation of
+/// every CoFlow in between (and nothing the source itself allocates).
+class WindowedSource final : public workload::WorkloadSource {
+ public:
+  WindowedSource(std::vector<workload::WorkloadEvent> events,
+                 std::size_t window_begin, std::size_t window_end)
+      : events_(std::move(events)), begin_(window_begin), end_(window_end) {}
+
+  [[nodiscard]] std::string name() const override { return "churn"; }
+  [[nodiscard]] int num_ports() const override { return kPorts; }
+  [[nodiscard]] SimTime peek_next_time() override {
+    return cursor_ < events_.size() ? events_[cursor_].time : kNever;
+  }
+  [[nodiscard]] workload::WorkloadEvent next() override {
+    if (cursor_ == begin_) allocs_at_begin_ = debug_alloc_count();
+    if (cursor_ == end_) allocs_at_end_ = debug_alloc_count();
+    return std::move(events_[cursor_++]);
+  }
+
+  [[nodiscard]] std::uint64_t window_allocs() const {
+    return allocs_at_end_ - allocs_at_begin_;
+  }
+
+  static constexpr int kPorts = 8;
+
+ private:
+  std::vector<workload::WorkloadEvent> events_;
+  std::size_t begin_;
+  std::size_t end_;
+  std::size_t cursor_ = 0;
+  std::uint64_t allocs_at_begin_ = 0;
+  std::uint64_t allocs_at_end_ = 0;
+};
+
+/// Batches of 8 CoFlows (1–4 flows of about 300 KB) every 24 ms over 8
+/// ports, the port pattern shifting per batch: batches overlap, so the live
+/// set holds one to three batches, CoFlows of several size classes retire
+/// and arrive every round, and contended ports make many miss all-or-none
+/// admission and take the backfill.
+std::vector<workload::WorkloadEvent> churn_events(int n) {
+  constexpr int kBatch = 8;
+  std::vector<workload::WorkloadEvent> events;
+  events.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int batch = i / kBatch;
+    const int j = i % kBatch;
+    CoflowSpec spec;
+    spec.id = CoflowId{i};
+    spec.arrival = msec(24) * batch;
+    const int width = 1 + (i * 3) % 4;
+    for (int k = 0; k < width; ++k) {
+      const PortIndex src = (j + 3 * k + batch) % WindowedSource::kPorts;
+      const PortIndex dst = (5 * j + k + 2 * batch) % WindowedSource::kPorts;
+      spec.flows.push_back({src, dst, 300000 + 1000 * ((i + k) % 13)});
+    }
+    events.push_back(workload::WorkloadEvent::arrival(std::move(spec)));
+  }
+  return events;
+}
+
+/// Allocations per admitted CoFlow over the measured window of a
+/// reclaiming run.
+double churn_allocs_per_coflow(Scheduler& scheduler, bool strict_input) {
+  constexpr int kCoflows = 6000;
+  constexpr std::size_t kBegin = 2000;
+  constexpr std::size_t kEnd = 5000;
+  auto source =
+      std::make_shared<WindowedSource>(churn_events(kCoflows), kBegin, kEnd);
+  SimConfig cfg;
+  cfg.record_results = false;
+  cfg.strict_input = strict_input;
+  Engine engine(source, scheduler, cfg);
+  (void)engine.run();
+  EXPECT_EQ(engine.stats().arrivals_admitted, kCoflows);
+  EXPECT_EQ(engine.stats().rejected_events, 0);
+  EXPECT_GT(engine.stats().reclaimed_coflows, 0);
+  return static_cast<double>(source->window_allocs()) /
+         static_cast<double>(kEnd - kBegin);
+}
+
+TEST(AllocSteady, ArrivalChurnSaathRecyclesEveryCoflow) {
+  for (const bool strict : {true, false}) {
+    SaathScheduler saath;
+    EXPECT_EQ(churn_allocs_per_coflow(saath, strict), 0.0)
+        << "strict_input=" << strict;
+  }
+}
+
+TEST(AllocSteady, ArrivalChurnAaloRecyclesEveryCoflow) {
+  for (const bool strict : {true, false}) {
+    AaloScheduler aalo;
+    EXPECT_EQ(churn_allocs_per_coflow(aalo, strict), 0.0)
+        << "strict_input=" << strict;
+  }
 }
 
 }  // namespace

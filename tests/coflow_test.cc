@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -250,6 +251,93 @@ TEST(JobSpec, ValidateRejectsEmptyStage) {
   job.id = JobId{1};
   job.stages.push_back({{}, {}});
   EXPECT_THROW(job.validate(), std::invalid_argument);
+}
+
+TEST(CoflowState, ResetKeepsVersionsCountingAcrossLives) {
+  CoflowState c(make_coflow(1, 0, {{0, 1, 1000}, {1, 2, 2000}, {2, 0, 500}}),
+                FlowId{0}, /*capacity=*/4);
+  // Drive one life: rate changes, a zeroing, completions.
+  for (auto& f : c.flows()) f.set_rate(100.0, 0);
+  c.flows()[1].set_rate(0.0, usec(10));
+  c.on_flow_complete(c.flows()[0], seconds(10));
+  c.on_flow_complete(c.flows()[2], seconds(5));
+  c.flows()[1].set_rate(200.0, seconds(10));
+  c.on_flow_complete(c.flows()[1], seconds(20));
+  ASSERT_TRUE(c.finished());
+  const std::uint64_t occupancy = c.occupancy_version();
+  const std::uint64_t trajectory = c.trajectory_version();
+  const std::uint64_t progress = c.progress_version();
+  const FlowState* const handles = c.flows().data();
+  const double* const lane = c.pool().rate;
+
+  const CoflowSpec next =
+      make_coflow(9, seconds(30), {{3, 4, 700}, {4, 3, 800}, {3, 3, 900},
+                                   {5, 4, 100}});
+  c.reset(next, FlowId{100});
+  EXPECT_GT(c.occupancy_version(), occupancy);
+  EXPECT_GT(c.trajectory_version(), trajectory);
+  EXPECT_GT(c.progress_version(), progress);
+  // Same storage: the pool block and the handle vector were reused.
+  EXPECT_EQ(c.flows().data(), handles);
+  EXPECT_EQ(c.pool().rate, lane);
+  EXPECT_EQ(c.capacity(), 4u);
+
+  // Every observable matches a state freshly built for the same spec.
+  const CoflowState fresh(next, FlowId{100});
+  EXPECT_EQ(c.id(), fresh.id());
+  EXPECT_EQ(c.arrival(), fresh.arrival());
+  EXPECT_FALSE(c.finished());
+  EXPECT_EQ(c.unfinished_flows(), fresh.unfinished_flows());
+  EXPECT_EQ(c.finish_time(), kNever);
+  EXPECT_EQ(c.rated_flows(), 0);
+  EXPECT_TRUE(c.finished_flow_lengths().empty());
+  EXPECT_EQ(c.queue_index, 0);
+  EXPECT_EQ(c.deadline, kNever);
+  EXPECT_TRUE(c.data_available);
+  EXPECT_EQ(c.total_sent(seconds(31)), 0.0);
+  ASSERT_EQ(c.flows().size(), fresh.flows().size());
+  for (std::size_t i = 0; i < c.flows().size(); ++i) {
+    const FlowState& a = c.flows()[i];
+    const FlowState& b = fresh.flows()[i];
+    EXPECT_EQ(a.id(), b.id());
+    EXPECT_EQ(a.src(), b.src());
+    EXPECT_EQ(a.dst(), b.dst());
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.rate(), 0.0);
+    EXPECT_EQ(a.predicted_finish(), b.predicted_finish());
+    EXPECT_EQ(a.rate_version(), b.rate_version());
+    EXPECT_FALSE(a.finished());
+  }
+  const auto same_loads = [](std::span<const PortLoad> x,
+                             std::span<const PortLoad> y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].port, y[i].port);
+      EXPECT_EQ(x[i].unfinished_flows, y[i].unfinished_flows);
+    }
+  };
+  same_loads(c.sender_loads(), fresh.sender_loads());
+  same_loads(c.receiver_loads(), fresh.receiver_loads());
+  for (std::size_t s = 0; s < c.sender_loads().size(); ++s) {
+    const auto a = c.sender_slot_flows(s);
+    const auto b = fresh.sender_slot_flows(s);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+  for (std::size_t s = 0; s < c.receiver_loads().size(); ++s) {
+    const auto a = c.receiver_slot_flows(s);
+    const auto b = fresh.receiver_slot_flows(s);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+  EXPECT_EQ(c.unfinished_on_sender(3), 2);
+  EXPECT_EQ(c.unfinished_on_receiver(4), 2);
+  EXPECT_EQ(c.unfinished_on_sender(0), 0);
+
+  // The new life runs normally on the recycled storage.
+  c.flows()[3].set_rate(100.0, seconds(30));
+  const OccupancyDelta d = c.on_flow_complete(c.flows()[3], seconds(31));
+  EXPECT_TRUE(d.sender_freed);
+  EXPECT_FALSE(d.receiver_freed);
+  EXPECT_EQ(c.unfinished_on_receiver(4), 1);
 }
 
 TEST(JobTracker, LinearChainReleasesInOrder) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include "common/histogram.h"
 #include "common/ids.h"
+#include "common/interval_set.h"
+#include "common/node_pool.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/time.h"
@@ -218,6 +223,95 @@ TEST(LogHistogram, MergeMatchesSequentialRecord) {
   for (double p : {10.0, 50.0, 90.0, 99.0}) {
     EXPECT_DOUBLE_EQ(a.percentile(p), both.percentile(p));
   }
+}
+
+TEST(IdIntervalSet, AscendingIdsCollapseIntoOneRun) {
+  IdIntervalSet ids;
+  for (std::int64_t id = 0; id < 1000; ++id) {
+    EXPECT_FALSE(ids.contains(id));
+    ids.insert(id);
+  }
+  EXPECT_EQ(ids.runs(), 1u);
+  EXPECT_TRUE(ids.contains(0));
+  EXPECT_TRUE(ids.contains(999));
+  EXPECT_FALSE(ids.contains(-1));
+  EXPECT_FALSE(ids.contains(1000));
+  ids.insert(1002);  // a gap opens a second run
+  EXPECT_EQ(ids.runs(), 2u);
+  ids.insert(1001);  // extends the second run down
+  EXPECT_EQ(ids.runs(), 2u);
+  ids.insert(1000);  // closes the gap: the runs merge
+  EXPECT_EQ(ids.runs(), 1u);
+  EXPECT_TRUE(ids.contains(1002));
+  ids.insert(500);  // present: no-op
+  EXPECT_EQ(ids.runs(), 1u);
+}
+
+TEST(IdIntervalSet, MatchesAStdSetOnScrambledIdsAndInt64Edges) {
+  IdIntervalSet ids;
+  std::set<std::int64_t> oracle;
+  Rng rng(7);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> probes = {kMin, kMin + 1, kMax - 1, kMax, -1, 0};
+  for (int i = 0; i < 400; ++i) {
+    probes.push_back(static_cast<std::int64_t>(rng.uniform_int(0, 120)) - 60);
+  }
+  for (const std::int64_t id : probes) {
+    ids.insert(id);
+    oracle.insert(id);
+    for (std::int64_t q = -70; q <= 70; ++q) {
+      ASSERT_EQ(ids.contains(q), oracle.contains(q)) << "after " << id;
+    }
+    for (const std::int64_t q : {kMin, kMin + 1, kMin + 2, kMax - 2, kMax - 1,
+                                 kMax}) {
+      ASSERT_EQ(ids.contains(q), oracle.contains(q)) << "after " << id;
+    }
+  }
+  // Maximal runs: one per gap in the oracle.
+  std::size_t runs = 0;
+  std::int64_t prev = 0;
+  bool first = true;
+  for (const std::int64_t id : oracle) {
+    if (first || id != prev + 1) ++runs;
+    first = false;
+    prev = id;
+  }
+  EXPECT_EQ(ids.runs(), runs);
+}
+
+TEST(NodePool, RecycledNodesKeepContainerOrder) {
+  // The same insert/erase history with and without recycling iterates
+  // identically; the pool never outgrows the container's peak.
+  std::unordered_map<std::int64_t, int> pooled;
+  std::unordered_map<std::int64_t, int> plain;
+  NodePool<std::unordered_map<std::int64_t, int>> pool;
+  std::set<std::pair<int, int>> pooled_set;
+  std::set<std::pair<int, int>> plain_set;
+  NodePool<std::set<std::pair<int, int>>> set_pool;
+  Rng rng(3);
+  for (int step = 0; step < 2000; ++step) {
+    const auto key = static_cast<std::int64_t>(rng.uniform_int(0, 63));
+    if (plain.contains(key)) {
+      EXPECT_TRUE(pool.erase(pooled, key));
+      plain.erase(key);
+      EXPECT_TRUE(set_pool.erase(pooled_set, {static_cast<int>(key), 1}));
+      plain_set.erase({static_cast<int>(key), 1});
+    } else {
+      pool.insert_new(pooled, key)->second = step;
+      plain.emplace(key, step);
+      EXPECT_TRUE(
+          set_pool.insert(pooled_set, {static_cast<int>(key), 1}).second);
+      plain_set.insert({static_cast<int>(key), 1});
+    }
+    ASSERT_TRUE(std::equal(pooled.begin(), pooled.end(), plain.begin(),
+                           plain.end()));
+    ASSERT_EQ(pooled_set, plain_set);
+    EXPECT_LE(pool.size() + pooled.size(), 64u);
+  }
+  EXPECT_FALSE(pool.erase(pooled, 1000));
+  const auto again = set_pool.insert(pooled_set, *pooled_set.begin());
+  EXPECT_FALSE(again.second);  // present: the node goes back to the pool
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -524,6 +526,106 @@ TEST(Saath, ConserveReplayEngagesOnQuiescentEngineRounds) {
   }
   EXPECT_GT(indexed.phase_stats().conserve_replays, 0);
   EXPECT_EQ(dense.phase_stats().conserve_replays, 0);
+}
+
+/// Forwards to a SaathScheduler and records which CoflowState address
+/// each CoFlow id was admitted at.
+class AddressRecorder final : public Scheduler {
+ public:
+  explicit AddressRecorder(SaathScheduler& inner) : inner_(inner) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates) override {
+    inner_.schedule(now, active, fabric, rates);
+  }
+  void schedule(SimTime now, std::span<CoflowState* const> active,
+                Fabric& fabric, RateAssignment& rates,
+                const SchedulerDelta& delta) override {
+    inner_.schedule(now, active, fabric, rates, delta);
+  }
+  [[nodiscard]] SimTime schedule_valid_until(
+      SimTime now, std::span<CoflowState* const> active) const override {
+    return inner_.schedule_valid_until(now, active);
+  }
+  void on_coflow_arrival(CoflowState& c, SimTime now) override {
+    address[c.id().value] = &c;
+    inner_.on_coflow_arrival(c, now);
+  }
+  void on_flow_complete(CoflowState& c, FlowState& f, SimTime now) override {
+    inner_.on_flow_complete(c, f, now);
+  }
+  void on_coflow_complete(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_complete(c, now);
+  }
+  void on_coflow_quarantined(CoflowState& c, SimTime now) override {
+    inner_.on_coflow_quarantined(c, now);
+  }
+
+  std::map<std::int64_t, const CoflowState*> address;
+
+ private:
+  SaathScheduler& inner_;
+};
+
+/// Completion stream as the sink saw it: (id, finish, per-flow FCTs).
+struct StreamSink final : ResultSink {
+  void on_coflow_complete(const CoflowRecord& rec, SimTime now) override {
+    stream.emplace_back(rec.id.value, now, rec.flow_fcts_seconds);
+  }
+  std::vector<std::tuple<std::int64_t, SimTime, std::vector<double>>> stream;
+};
+
+TEST(Saath, RecycledStatesKeepFencesSound) {
+  // A (one flow) and A2 (two flows) finish in the first epoch; the next
+  // round reclaims their states. Two rounds later C (one flow) and D (two
+  // flows) arrive on other ports and are built in exactly that memory.
+  // Both miss admission behind the long-running B on sender 4; D's other
+  // flow is backfilled. Recycled states must not let a replay fence
+  // recorded against A or A2 match C or D: the stream must equal both the
+  // run that never reclaims and the dense-backfill oracle.
+  const auto t = make_trace(
+      6, {make_coflow(0, 0, {{0, 1, 100000}}),
+          make_coflow(1, 0, {{2, 3, 100000}, {3, 2, 100000}}),
+          make_coflow(2, 0, {{4, 5, 50000000}}),
+          make_coflow(3, msec(16), {{4, 0, 100000}}),
+          make_coflow(4, msec(16), {{4, 1, 100000}, {2, 3, 100000}})});
+  const auto run = [&](bool record_results, bool incremental_backfill,
+                       std::map<std::int64_t, const CoflowState*>* address) {
+    SaathConfig sc;
+    sc.incremental_backfill = incremental_backfill;
+    SaathScheduler saath(sc);
+    AddressRecorder recorder(saath);
+    SimConfig cfg;
+    cfg.record_results = record_results;
+    StreamSink sink;
+    Engine engine(t, recorder, cfg);
+    engine.set_result_sink(&sink);
+    (void)engine.run();
+    if (address != nullptr) *address = recorder.address;
+    if (!record_results) {
+      EXPECT_EQ(engine.stats().recycled_states, 2);
+    }
+    return sink.stream;
+  };
+  std::map<std::int64_t, const CoflowState*> address;
+  const auto recycled = run(false, true, &address);
+  EXPECT_EQ(address.at(3), address.at(0));  // C lives in A's memory
+  EXPECT_EQ(address.at(4), address.at(1));  // D lives in A2's memory
+  EXPECT_EQ(recycled, run(true, true, nullptr));
+  EXPECT_EQ(recycled, run(false, false, nullptr));
+
+  // C and D missed admission while B held sender 4 (C finishes epochs
+  // after its first round); D's 2->3 flow ran on the backfill meanwhile.
+  ASSERT_EQ(recycled.size(), 5u);
+  for (const auto& [cid, at, fcts] : recycled) {
+    if (cid == 3) {
+      EXPECT_GT(at, msec(16) + msec(8));
+    }
+    if (cid == 4) {
+      EXPECT_GT(fcts[0], 0.01);
+      EXPECT_LT(fcts[1], 0.01);
+    }
+  }
 }
 
 TEST(Saath, Fig8LcofLimitationReproduced) {

@@ -676,7 +676,15 @@ TEST(ServiceEndToEnd, StatsPollingRacesRunTeardown) {
   // session would hold the run open).
   Connection stats_conn = dial(daemon.address());
   std::atomic<bool> driven{false};
-  std::thread streamer([&daemon, &driven] {
+  std::thread streamer([&daemon, &driven, &polls] {
+    // Drive only once the poller has read at least once (bounded wait):
+    // under load it could otherwise first run after the teardown it is
+    // meant to race, and the test would check nothing.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (polls.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
     ServiceClient client(ClientOptions{daemon.address()});
     VectorSource src("svc-test", kSvcPorts, svc_events(6));
     EXPECT_TRUE(client.connect("svc-test", kSvcPorts) && client.drive(src) &&
